@@ -47,9 +47,9 @@ from .risk import (
 )
 from .special import psi_inv
 from .transcription import (
+    _dth_order_verdict,
     bound_linear_1d,
     bound_nakka_chung,
-    transcribe_dth_order,
     transcribe_first_order,
     transcribe_spectral_radius,
     Method,
@@ -330,8 +330,10 @@ def run_check(
             verdicts.append(transcribe_first_order(g, beta))
             estimates.append(risk_first_order(g))
         elif m == "dth_order":
-            verdicts.append(transcribe_dth_order(g, beta))
-            estimates.append(risk_dth_order(g))
+            # one estimate serves both the verdict and the risk report
+            estimate = risk_dth_order(g)
+            verdicts.append(_dth_order_verdict(g, beta, estimate))
+            estimates.append(estimate)
         elif m == "linear_1d":
             margin = float(g.mean[0]) + bound_linear_1d(beta, float(g.cov[0, 0]))
             verdicts.append(
@@ -507,6 +509,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
+    # every generator takes the seed as an unsigned 64-bit integer
+    if not 0 <= args.seed < 2**64:
+        print(f"error: --seed must lie in [0, 2**64), got {args.seed}", file=sys.stderr)
+        return EXIT_USAGE
 
     try:
         if args.command == "table1":

@@ -30,9 +30,9 @@ __all__ = [
 class GaussianVec:
     """Mean and positive-definite covariance of a constraint output.
 
-    Positive definiteness is checked once at construction (fail fast, with
-    the error pointing at the construction site); the Cholesky factor is
-    kept for sampling.
+    Finiteness and positive definiteness are checked once at construction
+    (fail fast, with the error pointing at the construction site); the
+    Cholesky factor is kept for sampling.
     """
 
     mean: np.ndarray
@@ -43,7 +43,11 @@ class GaussianVec:
         mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
-        cov = as_symmetric(self.cov)
+        cov = np.asarray(self.cov, dtype=float)
+        # NaN would pass the symmetry check and the Cholesky pivots silently
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+            raise ValueError("mean and cov must be finite")
+        cov = as_symmetric(cov)
         if cov.shape[0] != mean.shape[0]:
             raise ValueError(
                 f"mean has length {mean.shape[0]} but cov is {cov.shape}"

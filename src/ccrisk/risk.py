@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import special
-from .gaussian import GaussianVec, sample, signed_mahalanobis, sorted_radii
+from .gaussian import GaussianVec, sample, signed_mahalanobis
 from .linalg import as_symmetric, spectral_radius_sqrt
 
 __all__ = [
@@ -110,11 +110,15 @@ def _require_scalar(g: GaussianVec) -> None:
 
 
 def risk_exact_1d(g: GaussianVec) -> RiskEstimate:
-    """Exact failure risk of a scalar Gaussian constraint, 1 - Phi(-mean/sigma)."""
+    """Exact failure risk of a scalar Gaussian constraint, Phi(mean/sigma).
+
+    Written as Phi(mean/sigma) rather than 1 - Phi(-mean/sigma), which
+    loses every digit beyond about 8 sigma.
+    """
     _require_scalar(g)
     mean = float(g.mean[0])
     sigma = math.sqrt(float(g.cov[0, 0]))
-    return RiskEstimate("exact_1d", 1.0 - special.std_normal_cdf(-mean / sigma))
+    return RiskEstimate("exact_1d", special.std_normal_cdf(mean / sigma))
 
 
 def risk_nakka_chung(g: GaussianVec) -> RiskEstimate:
@@ -171,31 +175,38 @@ def risk_first_order(g: GaussianVec) -> RiskEstimate:
 def dth_order_value(radii) -> float:
     """d-th-order risk from nonnegative standardized margins.
 
-    Sums the probability mass of the spherical shells between consecutive
-    sorted radii, discounting each shell by the sectors already cut off by
-    closer constraints; the remainder lower-bounds the success probability.
+    With the radii sorted, r_1 <= ... <= r_d, shell i is the spherical
+    shell between r_{i-1} and r_i (r_0 = 0) and has probability
+    width_i = psi(r_{i-1}) - psi(r_i). Closer constraints j < i cut the
+    sectors cut_i = sum_j sector_fraction(r_j / r_i) off it, half each. The
+    failure risk is psi(r_d) plus the cut part of every shell,
 
-    Zero radii contribute zero-width shells; the ratio r_j/r_i is taken as 1
-    there (the term is multiplied by zero anyway) and is clamped to [0, 1]
-    against round-off.
+        psi(r_d) + sum_i width_i * min(1, cut_i / 2),
+
+    which equals 1 - sum_i width_i * max(0, 1 - cut_i / 2) because the
+    widths sum to 1 - psi(r_d), but adds only nonnegative terms, so it
+    keeps its relative accuracy in the deep tail where 1 - (...) cancels.
+
+    One pass evaluates psi over the radii and the sector fractions over the
+    ratio matrix r_j / r_i, clamped to 1 so that j >= i adds exactly 0.
+    Rows start at the first nonzero radius and never at the first radius:
+    the first shell has nothing closer to cut it, and a zero radius has a
+    zero-width shell.
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    d = radii.shape[0]
-    r_tilde, _ = sorted_radii(radii)
-    kept = 0.0
-    for i in range(1, d + 1):
-        width = special.psi(r_tilde[i - 1], d) - special.psi(r_tilde[i], d)
-        if width == 0.0:
-            continue
-        cut = 0.0
-        for j in range(1, i):
-            ratio = 1.0 if r_tilde[i] == 0.0 else min(r_tilde[j] / r_tilde[i], 1.0)
-            cut += special.sector_fraction(ratio, d)
-        kept += width * max(0.0, 1.0 - 0.5 * cut)
-    value = 1.0 - kept
-    # The bracket psi(r_max) <= value <= psi(r_min) holds in exact
-    # arithmetic; clamping keeps the estimator chain ordered under round-off.
-    return min(max(value, special.psi(r_tilde[-1], d)), special.psi(r_tilde[1], d))
+    r = np.array(radii, dtype=float, ndmin=1)
+    r.sort()
+    d = r.shape[0]
+    if not (r[0] >= 0.0 and r[-1] < math.inf):
+        raise ValueError("radii must be finite and nonnegative")
+    p = special.psi_array(r, d)
+    k = max(int(r.searchsorted(0.0, "right")), 1)
+    cut = special.sector_fraction_array(np.minimum(r / r[k:, None], 1.0), d).sum(axis=1)
+    width = p[k - 1 : -1] - p[k:]
+    value = float(p[-1] + width @ np.minimum(1.0, 0.5 * cut))
+    # value >= psi(r_d) holds by construction and value <= psi(r_1) in
+    # exact arithmetic; clamping the upper end to the same psi expression
+    # risk_first_order evaluates keeps beta_d <= beta_1 exact under round-off.
+    return min(value, float(p[0]))
 
 
 def risk_dth_order(g: GaussianVec) -> RiskEstimate:

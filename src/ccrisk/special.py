@@ -1,4 +1,4 @@
-"""Scalar special functions used by every risk bound.
+"""Special functions used by every risk bound.
 
 Conventions:
 
@@ -11,7 +11,11 @@ Conventions:
 
 All functions are pure and deterministic; accuracy is limited only by the
 underlying double-precision incomplete gamma/beta routines (absolute error
-well below 1e-12 away from the extreme tails).
+well below 1e-12 away from the extreme tails). The scalar functions validate
+their arguments; ``psi_array`` and ``sector_fraction_array`` evaluate the
+same expressions elementwise, unvalidated, for callers that already hold
+checked arrays. Each formula is written once, in the array form, so a scalar
+and an array evaluation at the same point agree bitwise.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ __all__ = [
     "chi2_cdf",
     "chi2_quantile",
     "psi",
+    "psi_array",
     "psi_inv",
     "reg_inc_beta",
     "sector_fraction",
+    "sector_fraction_array",
 ]
 
 
@@ -97,7 +103,13 @@ def psi(r: float, d: int) -> float:
     d = _check_dof(d)
     if r < 0.0:
         return 1.0
-    return float(_sp.gammaincc(d / 2.0, r * r / 2.0))
+    return float(psi_array(r, d))
+
+
+def psi_array(r, d: int):
+    """``psi`` elementwise over nonnegative finite radii (a float or an
+    array), without validation."""
+    return _sp.gammaincc(d / 2.0, r * r / 2.0)
 
 
 def psi_inv(beta: float, d: int) -> float:
@@ -140,4 +152,10 @@ def sector_fraction(c: float, d: int) -> float:
     d = _check_dof(d, minimum=2)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"c must lie in [0, 1], got {c}")
-    return float(_sp.betainc((d - 1) / 2.0, 0.5, 1.0 - c * c))
+    return float(sector_fraction_array(c, d))
+
+
+def sector_fraction_array(c, d: int):
+    """``sector_fraction`` elementwise over c in [0, 1] (a float or an
+    array) and d >= 2, without validation."""
+    return _sp.betainc((d - 1) / 2.0, 0.5, 1.0 - c * c)

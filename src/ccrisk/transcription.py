@@ -148,12 +148,16 @@ def transcribe_dth_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     as a diagnostic residual.
     """
     beta = _check_beta(beta)
-    estimate = _risk.risk_dth_order(g)
-    if not estimate.defined or not np.any(g.mean != 0.0):
-        # positive mean component, or mean exactly 0 (no strictly negative
-        # entry to anchor the corollary)
-        risk_value = estimate.value if estimate.defined else 1.0
-        margins = np.concatenate(([risk_value - beta], g.mean))
-        return TranscriptionVerdict(Method.DTH_ORDER, beta, margins, False)
-    margins = np.concatenate(([estimate.value - beta], g.mean))
-    return TranscriptionVerdict(Method.DTH_ORDER, beta, margins, bool(np.all(margins <= 0.0)))
+    return _dth_order_verdict(g, beta, _risk.risk_dth_order(g))
+
+
+def _dth_order_verdict(g: GaussianVec, beta: float, estimate: _risk.RiskEstimate) -> TranscriptionVerdict:
+    """Verdict of ``transcribe_dth_order`` from an already computed
+    ``risk_dth_order(g)`` and a checked beta.
+
+    An undefined estimate (a positive mean component) counts as risk 1. A
+    mean of exactly 0 has risk psi(0, d) = 1 too, so in both cases the
+    leading margin 1 - beta > 0 rejects the constraint.
+    """
+    risk_value = estimate.value if estimate.defined else 1.0
+    return _verdict(Method.DTH_ORDER, beta, np.concatenate(([risk_value - beta], g.mean)))

@@ -142,6 +142,13 @@ class TestCheck:
         with pytest.raises(ValueError):
             run_check({"mean": [-1.0], "cov": [[1.0]], "beta": 0.1, "methods": ["bogus"]})
 
+    def test_non_finite_input_usage_exit(self, tmp_path, capsys):
+        # json.loads accepts the NaN literal; GaussianVec rejects it on entry
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"mean": [-1, -1], "cov": [[NaN, 0], [0, 1]], "beta": 0.1}')
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        assert "finite" in capsys.readouterr().err
+
     def test_scalar_method_on_vector_input(self):
         payload = {"mean": [-1.0, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "beta": 0.1, "methods": ["linear_1d"]}
         with pytest.raises(ValueError):
@@ -184,6 +191,12 @@ class TestMainEntry:
         assert main(["check", str(payload)]) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         assert report["beta"] == 1e-3
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_usage_exit(self, seed, capsys):
+        assert main(["--seed", seed, "--quick", "table1"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seed") and err.count("\n") == 1
 
     def test_unknown_flag_usage_exit(self):
         assert main(["sweep", "--no-such-flag"]) == EXIT_USAGE

@@ -38,6 +38,19 @@ class TestGaussianVec:
         with pytest.raises(ValueError):
             GaussianVec([0.0, 0.0, 0.0], np.eye(2))
 
+    @pytest.mark.parametrize(
+        "mean,cov",
+        [
+            ([-1.0, -1.0], [[math.nan, 0.0], [0.0, 1.0]]),
+            ([-1.0, -1.0], [[1.0, math.inf], [math.inf, 1.0]]),
+            ([math.nan, -1.0], np.eye(2)),
+            ([-math.inf, -1.0], np.eye(2)),
+        ],
+    )
+    def test_rejects_non_finite(self, mean, cov):
+        with pytest.raises(ValueError, match="finite"):
+            GaussianVec(mean, cov)
+
     def test_json_round_trip(self, example_2d):
         back = GaussianVec.from_json(example_2d.to_json())
         assert np.array_equal(back.mean, example_2d.mean)

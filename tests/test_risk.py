@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from ccrisk.risk import (
 )
 from ccrisk.special import psi, sector_fraction, std_normal_cdf
 
+mpmath.mp.dps = 40
+
 U0 = np.array([0.15567, 0.42294, -0.033632])
 SIGMA_U0 = np.array(
     [
@@ -34,6 +37,33 @@ SIGMA_U0 = np.array(
 
 def scalar(mean, var):
     return GaussianVec([mean], [[var]])
+
+
+def mp_shell_sum(radii):
+    """The d-th-order shell sum psi(r_d) + sum_i width_i * min(1, cut_i/2),
+    shell by shell, in 40-digit arithmetic."""
+    d = len(radii)
+    r = sorted(mpmath.mpf(float(x)) for x in radii)
+
+    def chi_tail(x):
+        return mpmath.gammainc(mpmath.mpf(d) / 2, x * x / 2, mpmath.inf, regularized=True)
+
+    def fraction(c):
+        return mpmath.betainc(mpmath.mpf(d - 1) / 2, mpmath.mpf(1) / 2, 0, 1 - c * c, regularized=True)
+
+    value, inner = chi_tail(r[-1]), mpmath.mpf(0)
+    for i, ri in enumerate(r):
+        if ri > 0:
+            cut = mpmath.fsum(fraction(rj / ri) for rj in r[:i])
+            value += (chi_tail(inner) - chi_tail(ri)) * min(mpmath.mpf(1), cut / 2)
+        inner = ri
+    return value
+
+
+def mp_independent_risk(radii):
+    """Exact risk 1 - prod Phi(r_i) of independent unit components, as
+    -expm1(sum log1p(-Phi(-r_i))) so the deep tail keeps its digits."""
+    return -mpmath.expm1(mpmath.fsum(mpmath.log1p(-mpmath.ncdf(-mpmath.mpf(float(x)))) for x in radii))
 
 
 class TestExact1d:
@@ -51,6 +81,12 @@ class TestExact1d:
     def test_rejects_nonscalar(self):
         with pytest.raises(ValueError):
             risk_exact_1d(GaussianVec([0.0, 0.0], np.eye(2)))
+
+    @pytest.mark.parametrize("k", [8.0, 8.25, 8.5, 8.75, 9.0])
+    def test_deep_tail_against_oracle(self, k):
+        # 1 - Phi(k) cancels to 0 at 9 sigma; Phi(-k) keeps full precision
+        est = risk_exact_1d(scalar(-2.0 * k, 4.0))
+        assert est.value == pytest.approx(float(mpmath.ncdf(-k)), rel=1e-13, abs=0)
 
 
 class TestNakkaChung:
@@ -168,6 +204,28 @@ class TestDthOrder:
             b_1 = risk_first_order(g).value
             b_rho = risk_spectral(g).value
             assert b_d <= b_1 <= b_rho
+
+    def test_matches_shell_sum_oracle(self):
+        rng = np.random.default_rng(11)
+        for d in (2, 2, 2, 3, 6, 6, 12):
+            for _ in range(4):
+                radii = rng.uniform(1.0, 4.5, size=d)
+                assert dth_order_value(radii) == pytest.approx(float(mp_shell_sum(radii)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("d", [2, 6])
+    @pytest.mark.parametrize("level", [6, 7, 8, 9, 10, 11, 12])
+    def test_deep_tail_upper_bound(self, d, level):
+        # d = 2 at level 9 has radii (9, 10) and true risk 1.13e-19; written
+        # as 1 - (uncut mass), the sum cancels there to 1.9e-22
+        g = GaussianVec(-(level + np.linspace(0.0, 1.0, d)), np.eye(d))
+        value = risk_dth_order(g).value
+        assert value == pytest.approx(float(mp_shell_sum(-g.mean)), rel=1e-12, abs=0)
+        assert value >= float(mp_independent_risk(-g.mean))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(0.5, 12.0), min_size=2, max_size=8))
+    def test_upper_bounds_independent_risk(self, radii):
+        assert dth_order_value(radii) >= float(mp_independent_risk(radii))
 
     @settings(max_examples=25, deadline=None)
     @given(st.floats(0.1, 10))

@@ -4,6 +4,7 @@ closed forms, and round-trip / symmetry properties."""
 import math
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +13,11 @@ from ccrisk.special import (
     chi2_cdf,
     chi2_quantile,
     psi,
+    psi_array,
     psi_inv,
     reg_inc_beta,
     sector_fraction,
+    sector_fraction_array,
     std_normal_cdf,
     std_normal_quantile,
 )
@@ -139,6 +142,10 @@ class TestPsi:
         values = [psi(r, 4) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]
         assert values == sorted(values, reverse=True)
 
+    @given(st.lists(st.floats(0, 40), min_size=1, max_size=30), st.integers(1, 30))
+    def test_array_form_bitwise_equal(self, rs, d):
+        assert psi_array(np.array(rs), d).tolist() == [psi(r, d) for r in rs]
+
 
 class TestPsiInv:
     @pytest.mark.parametrize("d", [1, 2, 9])
@@ -206,7 +213,14 @@ class TestSectorFraction:
 
     @given(st.floats(0, math.pi / 2))
     def test_planar_closed_form(self, theta):
-        assert sector_fraction(math.cos(theta), 2) == pytest.approx(2 * theta / math.pi, abs=1e-9)
+        # the closed form is taken at the c actually passed: below about
+        # 1.5e-8, cos(theta) rounds to 1 and the sector is empty
+        c = math.cos(theta)
+        assert sector_fraction(c, 2) == pytest.approx(2 * math.acos(c) / math.pi, abs=1e-9)
+
+    @given(st.lists(st.floats(0, 1), min_size=1, max_size=30), st.integers(2, 30))
+    def test_array_form_bitwise_equal(self, cs, d):
+        assert sector_fraction_array(np.array(cs), d).tolist() == [sector_fraction(c, d) for c in cs]
 
     def test_nonincreasing_in_c(self):
         values = [sector_fraction(c, 5) for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
