@@ -47,9 +47,9 @@ from .risk import (
 )
 from .special import psi_inv
 from .transcription import (
-    _dth_order_verdict,
     bound_linear_1d,
     bound_nakka_chung,
+    transcribe_dth_order,
     transcribe_first_order,
     transcribe_spectral_radius,
     Method,
@@ -308,7 +308,10 @@ def run_check(
     g = GaussianVec.from_dict(payload)
     if "beta" not in payload:
         raise ValueError('missing "beta"')
-    beta = float(payload["beta"])
+    try:
+        beta = float(payload["beta"])
+    except TypeError:
+        raise ValueError(f'"beta" must be a number, got {payload["beta"]!r}') from None
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
     methods = payload.get("methods", list(_CHECK_METHODS[:3]))
@@ -330,10 +333,8 @@ def run_check(
             verdicts.append(transcribe_first_order(g, beta))
             estimates.append(risk_first_order(g))
         elif m == "dth_order":
-            # one estimate serves both the verdict and the risk report
-            estimate = risk_dth_order(g)
-            verdicts.append(_dth_order_verdict(g, beta, estimate))
-            estimates.append(estimate)
+            verdicts.append(transcribe_dth_order(g, beta))
+            estimates.append(risk_dth_order(g))
         elif m == "linear_1d":
             margin = float(g.mean[0]) + bound_linear_1d(beta, float(g.cov[0, 0]))
             verdicts.append(

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_symmetric, cholesky_lower, congruence
+from .linalg import _cholesky, _spectral_radius_sqrt, as_symmetric, congruence
 
 __all__ = [
     "GaussianVec",
@@ -32,7 +33,10 @@ class GaussianVec:
 
     Finiteness and positive definiteness are checked once at construction
     (fail fast, with the error pointing at the construction site); the
-    Cholesky factor is kept for sampling.
+    Cholesky factor is kept for sampling. ``mean``, ``cov`` and ``chol`` are
+    read-only copies, so the quantities the estimators share (``radii``,
+    ``sqrt_lambda_max``, ``dth_order_risk``) are computed once, on first
+    use, and cached.
     """
 
     mean: np.ndarray
@@ -40,7 +44,7 @@ class GaussianVec:
     chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        mean = np.atleast_1d(np.asarray(self.mean, dtype=float))
+        mean = np.array(self.mean, dtype=float, ndmin=1)
         if mean.ndim != 1:
             raise ValueError(f"mean must be a vector, got shape {mean.shape}")
         cov = np.asarray(self.cov, dtype=float)
@@ -52,10 +56,32 @@ class GaussianVec:
             raise ValueError(
                 f"mean has length {mean.shape[0]} but cov is {cov.shape}"
             )
-        chol = cholesky_lower(cov)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "cov", cov)
-        object.__setattr__(self, "chol", chol)
+        for name, value in (("mean", mean), ("cov", cov), ("chol", _cholesky(cov))):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def radii(self) -> np.ndarray:
+        """Signed standardized margins r_i = -mean_i / sigma_i (read-only).
+
+        Positive entries mean the nominal constraint i is satisfied; negative
+        entries mean it is violated.
+        """
+        r = -self.mean / np.sqrt(np.diag(self.cov))
+        r.flags.writeable = False
+        return r
+
+    @cached_property
+    def sqrt_lambda_max(self) -> float:
+        """Square root of the largest covariance eigenvalue."""
+        return _spectral_radius_sqrt(self.cov)
+
+    @cached_property
+    def dth_order_risk(self) -> float:
+        """d-th-order risk value from the radii; needs mean <= 0."""
+        from .risk import dth_order_value  # risk builds on this module
+
+        return dth_order_value(self.radii)
 
     @property
     def dim(self) -> int:
@@ -135,15 +161,8 @@ def linearized_norm_constraint(u_mean, u_cov, u_max: float) -> GaussianVec:
 
 
 def signed_mahalanobis(g: GaussianVec) -> np.ndarray:
-    """Signed standardized margins r_i = -mean_i / sigma_i.
-
-    Positive entries mean the nominal constraint i is satisfied; negative
-    entries mean it is violated.
-    """
-    variances = np.diag(g.cov)
-    if np.any(variances <= 0.0):
-        raise ValueError("covariance has a nonpositive diagonal entry")
-    return -g.mean / np.sqrt(variances)
+    """Signed standardized margins r_i = -mean_i / sigma_i (``g.radii``)."""
+    return g.radii
 
 
 def sorted_radii(r) -> tuple[np.ndarray, np.ndarray]:

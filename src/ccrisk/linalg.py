@@ -48,25 +48,26 @@ def as_symmetric(S, rtol: float = _SYM_RTOL) -> np.ndarray:
 
 
 def cholesky_lower(S) -> np.ndarray:
-    """Lower-triangular Cholesky factor M with M @ M.T == S.
+    """Lower-triangular Cholesky factor M with M @ M.T == S."""
+    return _cholesky(as_symmetric(S))
 
-    Implemented as the classic pivot recursion so that near-singular inputs
-    fail with a clear :class:`NotPositiveDefiniteError` instead of an
-    opaque LAPACK error.
-    """
-    S = as_symmetric(S)
-    n = S.shape[0]
-    tol = _CHOL_PIVOT_RTOL * max(float(np.max(np.diag(S), initial=0.0)), 0.0)
-    M = np.zeros_like(S)
-    for j in range(n):
-        pivot = S[j, j] - M[j, :j] @ M[j, :j]
-        if pivot <= tol:
-            raise NotPositiveDefiniteError(
-                f"pivot {pivot:.3e} at index {j} below tolerance {tol:.3e}"
-            )
-        M[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            M[j + 1 :, j] = (S[j + 1 :, j] - M[j + 1 :, :j] @ M[j, :j]) / M[j, j]
+
+def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """``cholesky_lower`` of an exactly symmetric S, by LAPACK. A pivot
+    M[j, j]**2 at or below ``tol`` (default: _CHOL_PIVOT_RTOL times the
+    largest diagonal entry) or NaN raises NotPositiveDefiniteError naming j."""
+    if tol is None:
+        tol = _CHOL_PIVOT_RTOL * max(float(np.max(np.diag(S), initial=0.0)), 0.0)
+    try:
+        M = np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        # numpy drops LAPACK's index: the last pivot, unless a leading block fails first
+        _cholesky(S[:-1, :-1], tol)
+        raise NotPositiveDefiniteError(f"pivot at index {len(S) - 1} not positive, tolerance {tol:.3e}") from None
+    pivots = np.diag(M) ** 2
+    low = np.flatnonzero(~(pivots > tol))
+    if low.size:
+        raise NotPositiveDefiniteError(f"pivot {pivots[low[0]]:.3e} at index {low[0]} below tolerance {tol:.3e}")
     return M
 
 
@@ -77,7 +78,12 @@ def sym_eigenvalues(S) -> np.ndarray:
 
 def spectral_radius_sqrt(S) -> float:
     """Positive square root of the largest eigenvalue of a PSD matrix."""
-    w = sym_eigenvalues(S)
+    return _spectral_radius_sqrt(as_symmetric(S))
+
+
+def _spectral_radius_sqrt(S: np.ndarray) -> float:
+    """``spectral_radius_sqrt`` of an exactly symmetric S."""
+    w = np.linalg.eigvalsh(S)
     lam_max = float(w[-1])
     if w[0] < -1e-10 * max(abs(lam_max), 1e-300):
         raise NotPositiveSemidefiniteError(

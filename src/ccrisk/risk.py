@@ -14,8 +14,8 @@ from typing import Optional
 import numpy as np
 
 from . import special
-from .gaussian import GaussianVec, sample, signed_mahalanobis
-from .linalg import as_symmetric, spectral_radius_sqrt
+from .gaussian import GaussianVec, sample
+from .linalg import spectral_radius_sqrt
 
 __all__ = [
     "RiskEstimate",
@@ -143,11 +143,15 @@ def risk_norm_spectral(u_mean, u_cov, u_max: float) -> RiskEstimate:
     applies and the bound only exists while m + sqrt(N_u) <= 0.
     """
     u_mean = np.atleast_1d(np.asarray(u_mean, dtype=float))
+    u_cov = np.asarray(u_cov, dtype=float)
+    u_max = float(u_max)
+    if not (np.isfinite(u_mean).all() and np.isfinite(u_cov).all() and math.isfinite(u_max)):
+        raise ValueError("u_mean, u_cov and u_max must be finite")
     n_u = u_mean.shape[0]
-    margin = float(np.linalg.norm(u_mean)) - float(u_max)
+    margin = float(np.linalg.norm(u_mean)) - u_max
     if margin >= 0.0:
         raise ValueError("nominal control violates the norm constraint")
-    rho = spectral_radius_sqrt(as_symmetric(u_cov))
+    rho = spectral_radius_sqrt(u_cov)
     scaled = margin / rho
     if n_u > 2:
         scaled += math.sqrt(n_u)
@@ -160,16 +164,14 @@ def risk_spectral(g: GaussianVec) -> RiskEstimate:
     """Spectral-radius risk bound psi(min(-mean) / rho(cov), d)."""
     if np.any(g.mean > 0.0):
         return RiskEstimate("spectral", None, defined=False)
-    rho = spectral_radius_sqrt(g.cov)
-    return RiskEstimate("spectral", special.psi(float(np.min(-g.mean)) / rho, g.dim))
+    return RiskEstimate("spectral", special.psi(float(np.min(-g.mean)) / g.sqrt_lambda_max, g.dim))
 
 
 def risk_first_order(g: GaussianVec) -> RiskEstimate:
     """First-order risk bound psi(min r, d) from the standardized margins."""
     if np.any(g.mean > 0.0):
         return RiskEstimate("first_order", None, defined=False)
-    r = signed_mahalanobis(g)
-    return RiskEstimate("first_order", special.psi(float(np.min(r)), g.dim))
+    return RiskEstimate("first_order", special.psi(float(np.min(g.radii)), g.dim))
 
 
 def dth_order_value(radii) -> float:
@@ -216,7 +218,7 @@ def risk_dth_order(g: GaussianVec) -> RiskEstimate:
         return RiskEstimate("dth_order", None, defined=False)
     if g.dim == 1:
         return RiskEstimate("dth_order", risk_first_order(g).value)
-    return RiskEstimate("dth_order", dth_order_value(signed_mahalanobis(g)))
+    return RiskEstimate("dth_order", g.dth_order_risk)
 
 
 def mc_risk(g: GaussianVec, n: int, seed: int) -> McEstimate:

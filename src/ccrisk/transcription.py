@@ -17,7 +17,6 @@ import numpy as np
 
 from . import risk as _risk
 from .gaussian import GaussianVec
-from .linalg import spectral_radius_sqrt
 from .special import psi_inv, std_normal_quantile
 
 __all__ = [
@@ -118,7 +117,7 @@ def transcribe_spectral_radius(g: GaussianVec, beta: float) -> TranscriptionVerd
     """Back off every component by psi_inv(beta, d) times the square root of
     the covariance spectral radius."""
     beta = _check_beta(beta)
-    backoff = psi_inv(beta, g.dim) * spectral_radius_sqrt(g.cov)
+    backoff = psi_inv(beta, g.dim) * g.sqrt_lambda_max
     return _verdict(Method.SPECTRAL_RADIUS, beta, g.mean + backoff)
 
 
@@ -145,19 +144,12 @@ def transcribe_dth_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     Satisfied requires mean <= 0 with at least one strictly negative
     component, and the d-th-order risk at most beta. The condition itself is
     boolean; the reported margin vector prepends (risk - beta) to the mean
-    as a diagnostic residual.
+    as a diagnostic residual. An undefined estimate (a positive mean
+    component) counts as risk 1. A mean of exactly 0 has risk psi(0, d) = 1
+    too, so in both cases the leading margin 1 - beta > 0 rejects the
+    constraint.
     """
     beta = _check_beta(beta)
-    return _dth_order_verdict(g, beta, _risk.risk_dth_order(g))
-
-
-def _dth_order_verdict(g: GaussianVec, beta: float, estimate: _risk.RiskEstimate) -> TranscriptionVerdict:
-    """Verdict of ``transcribe_dth_order`` from an already computed
-    ``risk_dth_order(g)`` and a checked beta.
-
-    An undefined estimate (a positive mean component) counts as risk 1. A
-    mean of exactly 0 has risk psi(0, d) = 1 too, so in both cases the
-    leading margin 1 - beta > 0 rejects the constraint.
-    """
+    estimate = _risk.risk_dth_order(g)
     risk_value = estimate.value if estimate.defined else 1.0
     return _verdict(Method.DTH_ORDER, beta, np.concatenate(([risk_value - beta], g.mean)))

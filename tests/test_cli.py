@@ -149,6 +149,14 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("beta", ["null", "[0.1]", '{"value": 0.1}'])
+    def test_non_numeric_beta_usage_exit(self, beta, tmp_path, capsys):
+        bad = tmp_path / "beta.json"
+        bad.write_text('{"mean": [-1], "cov": [[1]], "beta": %s}' % beta)
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith('error: "beta" must be a number') and err.count("\n") == 1
+
     def test_scalar_method_on_vector_input(self):
         payload = {"mean": [-1.0, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "beta": 0.1, "methods": ["linear_1d"]}
         with pytest.raises(ValueError):

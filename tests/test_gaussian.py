@@ -51,6 +51,28 @@ class TestGaussianVec:
         with pytest.raises(ValueError, match="finite"):
             GaussianVec(mean, cov)
 
+    def test_input_mutation_leaves_it_unchanged(self):
+        m = np.array([-1.0, -2.0])
+        c = np.array([[1.0, 0.2], [0.2, 1.0]])
+        g = GaussianVec(m, c)
+        m[0] = 5.0
+        c[0, 0] = -7.0
+        assert np.array_equal(g.mean, [-1.0, -2.0])
+        assert np.array_equal(g.cov, [[1.0, 0.2], [0.2, 1.0]])
+        assert np.array_equal(g.radii, [1.0, 2.0])
+
+    @pytest.mark.parametrize("name", ["mean", "cov", "chol", "radii"])
+    def test_arrays_read_only(self, example_2d, name):
+        arr = getattr(example_2d, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            arr += 1.0
+
+    def test_cached_values_are_computed_once(self, example_2d):
+        for name in ("radii", "sqrt_lambda_max", "dth_order_risk"):
+            assert getattr(example_2d, name) is getattr(example_2d, name)
+
     def test_json_round_trip(self, example_2d):
         back = GaussianVec.from_json(example_2d.to_json())
         assert np.array_equal(back.mean, example_2d.mean)

@@ -22,6 +22,28 @@ EXAMPLE_COV = np.array([[1.1, -0.8], [-0.8, 1.0]])
 square = lambda n: arrays(float, (n, n), elements=st.floats(-3, 3))
 
 
+def pivot_loop_cholesky(S):
+    """Independent oracle: the classic pivot recursion in plain Python,
+    column by column, with no LAPACK call."""
+    n = S.shape[0]
+    M = np.zeros_like(S)
+    for j in range(n):
+        pivot = S[j, j] - M[j, :j] @ M[j, :j]
+        assert pivot > 0.0
+        M[j, j] = np.sqrt(pivot)
+        M[j + 1 :, j] = (S[j + 1 :, j] - M[j + 1 :, :j] @ M[j, :j]) / M[j, j]
+    return M
+
+
+@st.composite
+def spd_matrices(draw, min_dim=1):
+    """SPD matrices A A^T / d + I with d <= 30; the condition number stays
+    below about 300, so two correct factors agree to ~1e-14."""
+    d = draw(st.integers(min_dim, 30))
+    a = draw(arrays(float, (d, d), elements=st.floats(-3, 3)))
+    return as_symmetric(a @ a.T / d + np.eye(d))
+
+
 class TestCholesky:
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_identity(self, d):
@@ -56,6 +78,52 @@ class TestCholesky:
         deficient[3] = deficient[0]  # duplicate row: rank 3
         with pytest.raises(NotPositiveDefiniteError):
             cholesky_lower(congruence(deficient, np.eye(4)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(spd_matrices())
+    def test_matches_pivot_loop(self, s):
+        L = cholesky_lower(s)
+        assert np.array_equal(L, np.tril(L))
+        assert np.all(np.diag(L) > 0.0)
+        oracle = pivot_loop_cholesky(s)
+        assert np.max(np.abs(L - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize(
+        "s,index",
+        [
+            # indefinite: LAPACK stops at the second pivot, 1 - 4 = -3
+            (np.array([[1.0, 2.0], [2.0, 1.0]]), 1),
+            # rank 2 of 4: the third pivot is exactly 0
+            (np.array([[1.0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]), 2),
+            # near-singular: the second pivot is 1e-15, positive but below 1e-13
+            (np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]), 1),
+            # a nonpositive diagonal entry fails at the first pivot
+            (np.array([[-1.0, 0.0], [0.0, 1.0]]), 0),
+            (np.array([[0.0]]), 0),
+            # NaN passes the symmetry check; the pivot it reaches is NaN,
+            # which is never above tolerance
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), 1),
+        ],
+    )
+    def test_failure_names_pivot_and_tolerance(self, s, index):
+        with pytest.raises(ValueError) as info:  # LinAlgError is a ValueError too
+            cholesky_lower(s)
+        assert type(info.value) is NotPositiveDefiniteError
+        assert f"at index {index}" in str(info.value) and "tolerance" in str(info.value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spd_matrices(min_dim=2), st.integers(0, 28), st.sampled_from([0.0, -1e-3, 1e-16]))
+    def test_degenerate_never_raises_linalg_error(self, s, k, shift):
+        # replace row and column k by a multiple of row 0 (rank deficient),
+        # nudged by `shift` on the diagonal: singular, indefinite or
+        # near-singular, the error is always NotPositiveDefiniteError
+        k = 1 + k % (s.shape[0] - 1)
+        s = s.copy()
+        s[k, :] = s[:, k] = 2.0 * s[0, :]
+        s[k, k] = 4.0 * s[0, 0] + shift
+        with pytest.raises(ValueError) as info:
+            cholesky_lower(s)
+        assert type(info.value) is NotPositiveDefiniteError
 
 
 class TestSpectralRadiusSqrt:

@@ -125,6 +125,18 @@ class TestNormSpectral:
         with pytest.raises(ValueError):
             risk_norm_spectral([3.0], [[1.0]], 2.0)
 
+    @pytest.mark.parametrize(
+        "u_mean,u_cov,u_max",
+        [
+            ([1.0, 0.2], [[math.nan, 0.0], [0.0, 1.0]], 2.0),
+            ([math.nan, 0.2], np.eye(2), 2.0),
+            ([1.0, 0.2], np.eye(2), math.inf),
+        ],
+    )
+    def test_rejects_non_finite(self, u_mean, u_cov, u_max):
+        with pytest.raises(ValueError, match="finite"):
+            risk_norm_spectral(u_mean, u_cov, u_max)
+
 
 class TestSpectral:
     def test_zero_mean(self):

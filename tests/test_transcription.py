@@ -219,3 +219,39 @@ class TestMethodInterplay:
         assert payload["method"] == "first_order"
         assert payload["satisfied"] is False
         assert len(payload["margins"]) == 2
+
+
+class TestSharedWork:
+    """The three transcriptions and the three risk estimators on one
+    GaussianVec share its factor, its eigenvalues and its d-th-order risk."""
+
+    @pytest.mark.parametrize("d", [6, 25])
+    def test_each_shared_quantity_computed_once(self, d, monkeypatch):
+        import ccrisk.risk
+
+        calls = {"cholesky": 0, "eigvalsh": 0, "dth_order_value": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+        monkeypatch.setattr(
+            ccrisk.risk, "dth_order_value", counted("dth_order_value", ccrisk.risk.dth_order_value)
+        )
+        rng = np.random.default_rng(d)
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.1 * np.eye(d)
+        g = GaussianVec(-rng.uniform(1.0, 4.0, size=d) * np.sqrt(np.diag(cov)), cov)
+        for _ in range(2):
+            transcribe_spectral_radius(g, 1e-3)
+            transcribe_first_order(g, 1e-3)
+            transcribe_dth_order(g, 1e-3)
+            risk_spectral(g)
+            risk_first_order(g)
+            risk_dth_order(g)
+        assert calls == {"cholesky": 1, "eigvalsh": 1, "dth_order_value": 1}
