@@ -9,6 +9,8 @@ the constraint y ~ N([-2, -1], [[1.1, -0.8], [-0.8, 1]]).
 import argparse
 import sys
 
+import numpy as np
+
 from ccrisk import (
     GaussianVec,
     conservatism,
@@ -16,8 +18,6 @@ from ccrisk import (
     risk_dth_order,
     risk_first_order,
     risk_spectral,
-    signed_mahalanobis,
-    sorted_radii,
 )
 
 
@@ -28,8 +28,9 @@ def main() -> int:
     args = parser.parse_args()
 
     g = GaussianVec([-2.0, -1.0], [[1.1, -0.8], [-0.8, 1.0]])
-    radii = signed_mahalanobis(g)
-    r_tilde, perm = sorted_radii(radii)
+    radii = g.radii
+    perm = np.argsort(radii, kind="stable")
+    r_tilde = np.concatenate(([0.0], radii[perm]))
     print(f"signed standardized margins r = {radii}")
     print(f"sorted radii (0 prepended)   = {r_tilde}, order = {list(perm)}")
 

@@ -9,8 +9,6 @@ from .gaussian import (
     constraint_distribution,
     linearized_norm_constraint,
     sample,
-    signed_mahalanobis,
-    sorted_radii,
 )
 from .linalg import (
     NotPositiveDefiniteError,
@@ -18,7 +16,6 @@ from .linalg import (
     cholesky_lower,
     congruence,
     spectral_radius_sqrt,
-    sym_eigenvalues,
 )
 from .risk import (
     McEstimate,
@@ -33,15 +30,17 @@ from .risk import (
     risk_spectral,
 )
 from .transcription import (
+    METHODS,
     Method,
     TranscriptionVerdict,
     bound_linear_1d,
     bound_nakka_chung,
     bound_norm_highdim,
     bound_norm_lowdim,
-    quantile_vector,
     transcribe_dth_order,
     transcribe_first_order,
+    transcribe_linear_1d,
+    transcribe_nakka_chung,
     transcribe_spectral_radius,
 )
 

@@ -28,7 +28,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,22 +39,13 @@ from .linalg import NotPositiveDefiniteError
 from .risk import (
     mc_risk,
     risk_dth_order,
-    risk_exact_1d,
     risk_first_order,
     risk_nakka_chung,
     risk_norm_spectral,
     risk_spectral,
 )
 from .special import psi_inv
-from .transcription import (
-    bound_linear_1d,
-    bound_nakka_chung,
-    transcribe_dth_order,
-    transcribe_first_order,
-    transcribe_spectral_radius,
-    Method,
-    TranscriptionVerdict,
-)
+from .transcription import METHODS
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -83,10 +74,7 @@ class SweepConfig:
     beta: float = 1e-3
     mc_samples: int = 100_000
     seed: int = 0
-    mean_loc: float = -1.0
-    mean_scale: float = 0.1
     quick: bool = False
-    second_param_is_variance: bool = False
 
     def __post_init__(self) -> None:
         if len(self.dims) == 0 or min(self.dims) < 1:
@@ -97,10 +85,17 @@ class SweepConfig:
             self.n_dists = min(self.n_dists, 100)
 
 
-def _generate_instance(d, beta, rng, cfg) -> tuple[GaussianVec, int]:
+# Mean components are drawn from N(_MEAN_LOC, _MEAN_SCALE); the second
+# parameter of this law, and of the covariance factor's, is a standard
+# deviation.
+_MEAN_LOC = -1.0
+_MEAN_SCALE = 0.1
+
+
+def _generate_instance(d, beta, rng) -> tuple[GaussianVec, int]:
     """Draw one random constraint distribution at dimension d.
 
-    Mean components are normal around ``mean_loc``; the covariance is
+    Mean components are normal around ``_MEAN_LOC``; the covariance is
     L @ L.T with lower-triangular L whose entries have scale
     ||mean||_1 / (d^{3/2} * Psi_1^{-1}(beta)). The scalar-law quantile in
     the denominator pins the per-component marginal tails near the beta
@@ -110,18 +105,13 @@ def _generate_instance(d, beta, rng, cfg) -> tuple[GaussianVec, int]:
     mean component or a non-PD product are rejected and redrawn; the
     rejection count is returned for logging.
     """
-    scale = cfg.mean_scale
-    if cfg.second_param_is_variance:
-        scale = math.sqrt(scale)
     rejected = 0
     while True:
-        mean = rng.normal(cfg.mean_loc, scale, size=d)
+        mean = rng.normal(_MEAN_LOC, _MEAN_SCALE, size=d)
         if np.any(mean > 0.0):
             rejected += 1
             continue
         l_scale = float(np.sum(np.abs(mean))) / (d**1.5 * psi_inv(beta, 1))
-        if cfg.second_param_is_variance:
-            l_scale = math.sqrt(l_scale)
         L = np.tril(rng.normal(0.0, l_scale, size=(d, d)))
         try:
             g = GaussianVec(mean, L @ L.T)
@@ -138,14 +128,13 @@ def _sub_seed(seed: int, *key: int) -> int:
 def _box_stats(values) -> dict:
     """Median, quartiles, and 1.5-IQR whiskers of a sample (inf-tolerant)."""
     values = np.asarray(values, dtype=float)
-    finite = values[np.isfinite(values)]
-    if finite.size == 0:
+    if not np.isfinite(values).any():
         q1 = med = q3 = math.inf
     else:
-        # percentiles over the full sample; inf quartiles propagate as inf
+        # percentiles over the full sample; a quartile interpolated between
+        # two infs is nan, and any non-finite quartile is reported as inf
         med = float(np.median(values))
-        q1 = float(np.percentile(values, 25)) if np.isfinite(np.percentile(values, 25)) else math.inf
-        q3 = float(np.percentile(values, 75)) if np.isfinite(np.percentile(values, 75)) else math.inf
+        q1, q3 = (float(q) if math.isfinite(q) else math.inf for q in np.percentile(values, [25, 75]))
     iqr = q3 - q1 if math.isfinite(q3 - q1) else math.inf
     lo_cut, hi_cut = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     in_lo = values[values >= lo_cut] if math.isfinite(lo_cut) else values
@@ -187,7 +176,7 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
         gammas = {"spectral": [], "first_order": [], "dth_order": []}
         n_rejected = 0
         for i in range(cfg.n_dists):
-            g, rej = _generate_instance(d, cfg.beta, gen_rng, cfg)
+            g, rej = _generate_instance(d, cfg.beta, gen_rng)
             n_rejected += rej
             ref = mc_risk(g, cfg.mc_samples, _sub_seed(cfg.seed, d, i))
             gammas["spectral"].append(_sweep_gamma(risk_spectral(g).value, ref))
@@ -289,9 +278,6 @@ def run_table2(
 # Generic check mode
 # ---------------------------------------------------------------------------
 
-_CHECK_METHODS = ("spectral_radius", "first_order", "dth_order", "linear_1d", "nakka_chung")
-
-
 def run_check(
     payload: dict,
     mc_samples: int = 0,
@@ -314,39 +300,19 @@ def run_check(
         raise ValueError(f'"beta" must be a number, got {payload["beta"]!r}') from None
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
-    methods = payload.get("methods", list(_CHECK_METHODS[:3]))
+    # the default is the three multidimensional methods
+    methods = payload.get("methods", list(METHODS)[:3])
     if not isinstance(methods, list) or not methods:
         raise ValueError('"methods" must be a nonempty list')
-    for m in methods:
-        if m not in _CHECK_METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {_CHECK_METHODS}")
-        if m in ("linear_1d", "nakka_chung") and g.dim != 1:
-            raise ValueError(f"method {m!r} only applies to scalar constraints")
-
     verdicts = []
     estimates = []
     for m in methods:
-        if m == "spectral_radius":
-            verdicts.append(transcribe_spectral_radius(g, beta))
-            estimates.append(risk_spectral(g))
-        elif m == "first_order":
-            verdicts.append(transcribe_first_order(g, beta))
-            estimates.append(risk_first_order(g))
-        elif m == "dth_order":
-            verdicts.append(transcribe_dth_order(g, beta))
-            estimates.append(risk_dth_order(g))
-        elif m == "linear_1d":
-            margin = float(g.mean[0]) + bound_linear_1d(beta, float(g.cov[0, 0]))
-            verdicts.append(
-                TranscriptionVerdict(Method.LINEAR_1D, beta, np.array([margin]), margin <= 0.0)
-            )
-            estimates.append(risk_exact_1d(g))
-        elif m == "nakka_chung":
-            margin = float(g.mean[0]) + bound_nakka_chung(beta, float(g.cov[0, 0]))
-            verdicts.append(
-                TranscriptionVerdict(Method.NAKKA_CHUNG, beta, np.array([margin]), margin <= 0.0)
-            )
-            estimates.append(risk_nakka_chung(g))
+        # a list or object entry is unhashable, so test the type first
+        if not isinstance(m, str) or m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {tuple(k.value for k in METHODS)}")
+        transcribe, risk = METHODS[m]
+        verdicts.append(transcribe(g, beta))
+        estimates.append(risk(g))
 
     report = {
         "beta": beta,
@@ -489,12 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dims", default="1..25", help='dimensions, e.g. "1..25" or "1,5,10"')
     ps.add_argument("--n-dists", type=int, default=1000)
     ps.add_argument("--beta", type=float, default=1e-3)
-    ps.add_argument(
-        "--second-param-is-variance",
-        action="store_true",
-        help="treat the generator laws' second parameter as a variance "
-        "instead of a standard deviation",
-    )
     ps.add_argument("--emit-plot-data", default=None, help="also write long-format plot data here")
 
     pc = sub.add_parser("check", help="check a user-supplied constraint")
@@ -539,7 +499,6 @@ def main(argv=None) -> int:
                 mc_samples=args.mc_samples if args.mc_samples is not None else 100_000,
                 seed=args.seed,
                 quick=args.quick,
-                second_param_is_variance=args.second_param_is_variance,
             )
             rows = run_sweep(cfg)
             text = _dump_json(rows) if args.format == "json" else sweep_csv(rows)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -78,9 +77,6 @@ class ConservatismReport:
             },
             "hierarchy_ok": self.hierarchy_ok,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _gamma_or_inf(beta_t: float, beta_r: float) -> Optional[float]:

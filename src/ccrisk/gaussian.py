@@ -21,8 +21,6 @@ __all__ = [
     "LinearConstraintModel",
     "constraint_distribution",
     "linearized_norm_constraint",
-    "signed_mahalanobis",
-    "sorted_radii",
     "sample",
 ]
 
@@ -94,7 +92,13 @@ class GaussianVec:
     def from_dict(cls, obj: dict) -> "GaussianVec":
         if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
             raise ValueError('expected an object with "mean" and "cov" keys')
-        return cls(np.asarray(obj["mean"], dtype=float), np.asarray(obj["cov"], dtype=float))
+        arrays = []
+        for key in ("mean", "cov"):
+            try:
+                arrays.append(np.asarray(obj[key], dtype=float))
+            except TypeError:
+                raise ValueError(f'"{key}" must be an array of numbers, got {obj[key]!r}') from None
+        return cls(*arrays)
 
     @classmethod
     def from_json(cls, text: str) -> "GaussianVec":
@@ -158,24 +162,6 @@ def linearized_norm_constraint(u_mean, u_cov, u_max: float) -> GaussianVec:
     u_cov = as_symmetric(u_cov)
     var = float(u_mean @ u_cov @ u_mean) / norm**2
     return GaussianVec([norm - float(u_max)], [[var]])
-
-
-def signed_mahalanobis(g: GaussianVec) -> np.ndarray:
-    """Signed standardized margins r_i = -mean_i / sigma_i (``g.radii``)."""
-    return g.radii
-
-
-def sorted_radii(r) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending radii with a leading 0, plus the sorting permutation.
-
-    Returns ``(r_tilde, perm)`` with ``r_tilde[0] == 0`` and
-    ``r[perm[i-1]] == r_tilde[i]``. Ties are broken by original index
-    (stable sort); any consistent choice gives the same d-th-order risk
-    since equal radii contribute zero-width shells.
-    """
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    perm = np.argsort(r, kind="stable")
-    return np.concatenate(([0.0], r[perm])), perm
 
 
 def sample(g: GaussianVec, n: int, seed: int) -> np.ndarray:

@@ -14,7 +14,6 @@ __all__ = [
     "NotPositiveSemidefiniteError",
     "as_symmetric",
     "cholesky_lower",
-    "sym_eigenvalues",
     "spectral_radius_sqrt",
     "congruence",
     "clip_to_psd",
@@ -69,11 +68,6 @@ def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
     if low.size:
         raise NotPositiveDefiniteError(f"pivot {pivots[low[0]]:.3e} at index {low[0]} below tolerance {tol:.3e}")
     return M
-
-
-def sym_eigenvalues(S) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted ascending."""
-    return np.linalg.eigvalsh(as_symmetric(S))
 
 
 def spectral_radius_sqrt(S) -> float:

@@ -216,8 +216,6 @@ def risk_dth_order(g: GaussianVec) -> RiskEstimate:
     estimators (coincides with the others at d = 1)."""
     if np.any(g.mean > 0.0):
         return RiskEstimate("dth_order", None, defined=False)
-    if g.dim == 1:
-        return RiskEstimate("dth_order", risk_first_order(g).value)
     return RiskEstimate("dth_order", g.dth_order_risk)
 
 

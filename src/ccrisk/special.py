@@ -27,12 +27,9 @@ from scipy import special as _sp
 __all__ = [
     "std_normal_cdf",
     "std_normal_quantile",
-    "chi2_cdf",
-    "chi2_quantile",
     "psi",
     "psi_array",
     "psi_inv",
-    "reg_inc_beta",
     "sector_fraction",
     "sector_fraction_array",
 ]
@@ -69,31 +66,9 @@ def std_normal_quantile(p: float) -> float:
     return float(_sp.ndtri(p))
 
 
-def chi2_cdf(x: float, d: int) -> float:
-    """CDF of the chi-squared distribution with d degrees of freedom."""
-    x = _check_finite("x", x)
-    d = _check_dof(d)
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    return float(_sp.gammainc(d / 2.0, x / 2.0))
-
-
-def chi2_quantile(p: float, d: int) -> float:
-    """Inverse CDF of the chi-squared distribution with d degrees of freedom.
-
-    Defined for 0 <= p < 1; p = 1 is rejected (infinite quantile).
-    """
-    p = _check_finite("p", p)
-    d = _check_dof(d)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
-    if p == 0.0:
-        return 0.0
-    return float(2.0 * _sp.gammaincinv(d / 2.0, p))
-
-
 def psi(r: float, d: int) -> float:
-    """Chi-distribution tail with d degrees of freedom, 1 - chi2_cdf(r^2, d).
+    """Chi-distribution tail with d degrees of freedom: one minus the
+    chi-squared CDF at r^2.
 
     Negative radii are mapped to probability 1 by convention, so signed
     standardized margins (negative when the nominal constraint is violated)
@@ -126,23 +101,11 @@ def psi_inv(beta: float, d: int) -> float:
     return math.sqrt(float(2.0 * _sp.gammainccinv(d / 2.0, beta)))
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete Euler beta function I_x(a, b)."""
-    x = _check_finite("x", x)
-    a = _check_finite("a", a)
-    b = _check_finite("b", b)
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"a and b must be positive, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must lie in [0, 1], got {x}")
-    return float(_sp.betainc(a, b, x))
-
-
 def sector_fraction(c: float, d: int) -> float:
     """Solid-angle fraction of a hyperspherical sector of half-angle theta.
 
     ``c`` is cos(theta) with theta in [0, pi/2], so c in [0, 1]. The fraction
-    is I_{sin^2(theta)}((d-1)/2, 1/2), which reduces to theta/pi of the full
+    is the regularized incomplete beta I_{sin^2(theta)}((d-1)/2, 1/2), which reduces to theta/pi of the full
     circle (i.e. 2*theta/pi of the half-angle range) for d = 2.
 
     Only defined for d >= 2: the parameter (d-1)/2 degenerates at d = 1 and

@@ -8,7 +8,6 @@ can use them as residuals.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -20,6 +19,7 @@ from .gaussian import GaussianVec
 from .special import psi_inv, std_normal_quantile
 
 __all__ = [
+    "METHODS",
     "Method",
     "TranscriptionVerdict",
     "bound_norm_highdim",
@@ -29,18 +29,17 @@ __all__ = [
     "transcribe_spectral_radius",
     "transcribe_first_order",
     "transcribe_dth_order",
-    "quantile_vector",
+    "transcribe_linear_1d",
+    "transcribe_nakka_chung",
 ]
 
 
 class Method(str, Enum):
-    NORM_HIGHDIM = "norm_highdim"
-    NORM_LOWDIM = "norm_lowdim"
-    LINEAR_1D = "linear_1d"
-    NAKKA_CHUNG = "nakka_chung"
     SPECTRAL_RADIUS = "spectral_radius"
     FIRST_ORDER = "first_order"
     DTH_ORDER = "dth_order"
+    LINEAR_1D = "linear_1d"
+    NAKKA_CHUNG = "nakka_chung"
 
 
 @dataclass(frozen=True)
@@ -57,9 +56,6 @@ class TranscriptionVerdict:
             "margins": np.asarray(self.margins).tolist(),
             "satisfied": bool(self.satisfied),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def _check_beta(beta: float) -> float:
@@ -129,15 +125,6 @@ def transcribe_first_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     return _verdict(Method.FIRST_ORDER, beta, g.mean + psi_inv(beta, g.dim) * sigma)
 
 
-def quantile_vector(g: GaussianVec, beta: float) -> np.ndarray:
-    """Componentwise (1-beta)-quantile bound mean + psi_inv(beta, d) * sigma;
-    y stays below it componentwise with probability at least 1 - beta."""
-    beta = float(beta)
-    if not 0.0 < beta <= 1.0:
-        raise ValueError(f"beta must lie in (0, 1], got {beta}")
-    return g.mean + psi_inv(beta, g.dim) * np.sqrt(np.diag(g.cov))
-
-
 def transcribe_dth_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     """Accept when the d-th-order risk estimate is within beta.
 
@@ -153,3 +140,29 @@ def transcribe_dth_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     estimate = _risk.risk_dth_order(g)
     risk_value = estimate.value if estimate.defined else 1.0
     return _verdict(Method.DTH_ORDER, beta, np.concatenate(([risk_value - beta], g.mean)))
+
+
+def _scalar_verdict(method: Method, bound, g: GaussianVec, beta: float) -> TranscriptionVerdict:
+    if g.dim != 1:
+        raise ValueError(f"method {method.value!r} only applies to scalar constraints")
+    return _verdict(method, beta, np.array([float(g.mean[0]) + bound(beta, float(g.cov[0, 0]))]))
+
+
+def transcribe_linear_1d(g: GaussianVec, beta: float) -> TranscriptionVerdict:
+    """Back off a scalar constraint by the exact Gaussian bound."""
+    return _scalar_verdict(Method.LINEAR_1D, bound_linear_1d, g, _check_beta(beta))
+
+
+def transcribe_nakka_chung(g: GaussianVec, beta: float) -> TranscriptionVerdict:
+    """Back off a scalar constraint by the distribution-free bound."""
+    return _scalar_verdict(Method.NAKKA_CHUNG, bound_nakka_chung, g, _check_beta(beta))
+
+
+# Every transcription with the risk estimator at which it becomes tight.
+METHODS = {
+    Method.SPECTRAL_RADIUS: (transcribe_spectral_radius, _risk.risk_spectral),
+    Method.FIRST_ORDER: (transcribe_first_order, _risk.risk_first_order),
+    Method.DTH_ORDER: (transcribe_dth_order, _risk.risk_dth_order),
+    Method.LINEAR_1D: (transcribe_linear_1d, _risk.risk_exact_1d),
+    Method.NAKKA_CHUNG: (transcribe_nakka_chung, _risk.risk_nakka_chung),
+}

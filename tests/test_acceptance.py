@@ -25,13 +25,7 @@ from ccrisk.risk import (
     risk_norm_spectral,
     risk_spectral,
 )
-from ccrisk.special import (
-    chi2_cdf,
-    chi2_quantile,
-    psi,
-    reg_inc_beta,
-    sector_fraction,
-)
+from ccrisk.special import psi, psi_inv, sector_fraction
 
 from conftest import random_pd_gaussian
 
@@ -185,17 +179,19 @@ def test_fig4_sweep_quick():
 def test_special_function_accuracy():
     start = time.time()
     ok = True
-    # chi-squared round-trips
+    # chi-squared round-trips, through the tail psi(r, d) = 1 - F(r^2, d)
+    # and its inverse; the level set is its own complement
     for d in (1, 2, 6, 15, 30):
         for p in (1e-8, 1e-3, 0.5, 0.999, 1 - 1e-8):
-            ok = ok and abs(chi2_cdf(chi2_quantile(p, d), d) - p) <= 1e-9
-    # d = 2 closed forms
+            ok = ok and abs(psi(psi_inv(p, d), d) - p) <= 1e-9
+    # d = 2 closed forms, of the chi-squared CDF and of its tail
     for x in (0.1, 1.0, 4.0, 20.0):
-        ok = ok and abs(chi2_cdf(x, 2) - (1 - math.exp(-x / 2))) <= 1e-12
+        ok = ok and abs((1 - psi(math.sqrt(x), 2)) - (1 - math.exp(-x / 2))) <= 1e-12
         ok = ok and abs(psi(math.sqrt(x), 2) - math.exp(-x / 2)) <= 1e-12
-    # arcsine identity for the regularized incomplete beta
+    # arcsine identity for the regularized incomplete beta I_x(1/2, 1/2),
+    # which sector_fraction(c, 2) evaluates at x = 1 - c^2
     for x in (0.0, 0.2, 0.5, 0.9, 1.0):
-        ok = ok and abs(reg_inc_beta(x, 0.5, 0.5) - (2 / math.pi) * math.asin(math.sqrt(x))) <= 1e-9
+        ok = ok and abs(sector_fraction(math.sqrt(1 - x), 2) - (2 / math.pi) * math.asin(math.sqrt(x))) <= 1e-9
     elapsed = time.time() - start
     ok = ok and elapsed < 1.0
     _report("special-function-accuracy", ok, f"{elapsed * 1000:.0f}ms")

@@ -14,6 +14,7 @@ from ccrisk.cli import (
     EXIT_USAGE,
     SWEEP_CSV_COLUMNS,
     SweepConfig,
+    _box_stats,
     _parse_dims,
     main,
     run_check,
@@ -23,6 +24,8 @@ from ccrisk.cli import (
     sweep_csv,
 )
 from ccrisk.fixtures import DEFAULT_FIXTURE
+from ccrisk.gaussian import GaussianVec
+from ccrisk.transcription import METHODS
 
 SMALL_SWEEP = dict(dims=(1, 2), n_dists=3, mc_samples=2000, seed=7)
 
@@ -161,6 +164,60 @@ class TestCheck:
         payload = {"mean": [-1.0, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "beta": 0.1, "methods": ["linear_1d"]}
         with pytest.raises(ValueError):
             run_check(payload)
+
+    @pytest.mark.parametrize("entry", ['["a"]', '{"a": 1}', "3"])
+    def test_non_string_method_usage_exit(self, entry, tmp_path, capsys):
+        bad = tmp_path / "methods.json"
+        bad.write_text('{"mean": [-1], "cov": [[1]], "beta": 0.1, "methods": [%s]}' % entry)
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown method ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["mean", "cov"])
+    def test_object_valued_array_usage_exit(self, key, tmp_path, capsys):
+        payload = {"mean": [-1], "cov": [[1]], "beta": 0.1, key: {"a": 1}}
+        bad = tmp_path / "object.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f'error: "{key}" must be an array of numbers') and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "mean,cov",
+        [([-1.5], [[0.4]]), ([0.2], [[1.0]]), ([-1.0, -2.0, -0.5], np.eye(3) + 0.2)],
+        ids=["d1", "d1-positive-mean", "d3"],
+    )
+    def test_each_method_matches_direct_call(self, mean, cov):
+        g = GaussianVec(mean, cov)
+        for method, (transcribe, risk) in METHODS.items():
+            if g.dim != 1 and method in ("linear_1d", "nakka_chung"):
+                continue
+            payload = {"mean": mean, "cov": np.asarray(cov).tolist(), "beta": 0.05, "methods": [method.value]}
+            report, _ = run_check(payload)
+            assert report["verdicts"] == [transcribe(g, 0.05).to_dict()]
+            assert report["risk_estimates"] == [risk(g).to_dict()]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestBoxStats:
+    def stats(self, values):
+        s = _box_stats(values)
+        return [s[k] for k in ("median", "q1", "q3", "whisker_lo", "whisker_hi")]
+
+    def test_all_inf(self):
+        assert self.stats([math.inf] * 4) == [math.inf] * 5
+
+    def test_half_inf(self):
+        # q3 interpolates between two infs, which gives nan, reported as inf
+        assert self.stats([1.0, 2.0, 3.0, 4.0] + [math.inf] * 4) == [math.inf, 2.75, math.inf, 1.0, math.inf]
+        assert self.stats([1.0, math.inf, math.inf, math.inf]) == [math.inf, math.inf, math.inf, 1.0, math.inf]
+
+    def test_zero_laden(self):
+        assert self.stats([0.0, 0.0, 0.0, 0.0, 5.0]) == [0.0, 0.0, 0.0, 0.0, 0.0]
+        # the 75th percentile sits on the sample value 2.0, but numpy's
+        # linear interpolation forms 2 + (inf - 2) * 0 = nan, so q3 and the
+        # upper whisker read inf
+        assert self.stats([0.0, 0.0, 1.0, 2.0, math.inf]) == [1.0, 0.0, math.inf, 0.0, math.inf]
 
 
 class TestMainEntry:

@@ -8,7 +8,7 @@ from ccrisk.fixtures import (
     DEFAULT_TARGET_STATE,
     box_constraint_distribution,
 )
-from ccrisk.linalg import cholesky_lower, sym_eigenvalues
+from ccrisk.linalg import cholesky_lower
 
 
 class TestControlConstraint:
@@ -22,7 +22,7 @@ class TestControlConstraint:
 class TestTerminalStateCov:
     def test_raw_matrix_is_indefinite(self):
         # the published 3-significant-figure matrix is indefinite by a sliver
-        assert np.min(sym_eigenvalues(DEFAULT_FIXTURE.sigma_xN)) < 0.0
+        assert np.min(np.linalg.eigvalsh(DEFAULT_FIXTURE.sigma_xN)) < 0.0
 
     def test_repair_is_pd_and_close(self):
         repaired = DEFAULT_FIXTURE.terminal_state_cov()

@@ -14,10 +14,10 @@ from ccrisk.gaussian import (
     constraint_distribution,
     linearized_norm_constraint,
     sample,
-    signed_mahalanobis,
-    sorted_radii,
 )
 from ccrisk.linalg import NotPositiveDefiniteError
+from ccrisk.risk import dth_order_value
+from ccrisk.special import psi
 
 U0 = np.array([0.15567, 0.42294, -0.033632])
 SIGMA_U0 = np.array(
@@ -150,17 +150,19 @@ class TestLinearizedNormConstraint:
 
 
 class TestSignedMahalanobis:
+    """``g.radii``: the signed standardized margins."""
+
     def test_zero_mean(self):
         g = GaussianVec([0.0, 0.0], np.diag([2.0, 3.0]))
-        assert np.array_equal(signed_mahalanobis(g), [0.0, 0.0])
+        assert np.array_equal(g.radii, [0.0, 0.0])
 
     def test_example_radii(self, example_2d):
-        r = signed_mahalanobis(example_2d)
+        r = example_2d.radii
         assert np.allclose(r, [2 / math.sqrt(1.1), 1.0], atol=1e-12)
 
     def test_sign_convention(self):
         g = GaussianVec([2.0, -3.0], np.diag([4.0, 9.0]))
-        assert np.allclose(signed_mahalanobis(g), [-1.0, 1.0])
+        assert np.allclose(g.radii, [-1.0, 1.0])
 
     @settings(max_examples=25)
     @given(st.floats(0.1, 10))
@@ -179,26 +181,26 @@ class TestSignedMahalanobis:
             gain=np.zeros((2, 2)),
             state_cov=np.eye(2),
         )
-        r0 = signed_mahalanobis(constraint_distribution(base))
-        r1 = signed_mahalanobis(constraint_distribution(scaled))
+        r0 = constraint_distribution(base).radii
+        r1 = constraint_distribution(scaled).radii
         assert np.allclose(r0, r1, rtol=1e-12)
 
 
 class TestSortedRadii:
+    """``dth_order_value`` sorts the radii itself, so their order is free."""
+
     def test_example(self):
-        r_tilde, perm = sorted_radii([1.9069, 1.0])
-        assert np.allclose(r_tilde, [0.0, 1.0, 1.9069])
-        assert list(perm) == [1, 0]
+        assert dth_order_value([1.9069, 1.0]) == dth_order_value([1.0, 1.9069])
 
     def test_scalar(self):
-        r_tilde, perm = sorted_radii([2.5])
-        assert np.array_equal(r_tilde, [0.0, 2.5])
-        assert list(perm) == [0]
+        assert dth_order_value([2.5]) == psi(2.5, 1)
 
     def test_tie_break_by_original_index(self):
-        r_tilde, perm = sorted_radii([2.0, 2.0, 2.0])
-        assert np.array_equal(r_tilde, [0.0, 2.0, 2.0, 2.0])
-        assert list(perm) == [0, 1, 2]
+        # equal radii give zero-width shells, so how ties are ordered
+        # cannot change the value
+        assert dth_order_value([2.0, 2.0, 2.0]) == psi(2.0, 3)
+        values = {dth_order_value(r) for r in ([3.0, 2.0, 2.0], [2.0, 3.0, 2.0], [2.0, 2.0, 3.0])}
+        assert len(values) == 1
 
 
 class TestSample:

@@ -14,7 +14,6 @@ from ccrisk.linalg import (
     clip_to_psd,
     congruence,
     spectral_radius_sqrt,
-    sym_eigenvalues,
 )
 
 EXAMPLE_COV = np.array([[1.1, -0.8], [-0.8, 1.0]])
@@ -159,34 +158,36 @@ class TestSpectralRadiusSqrt:
 
 
 class TestSymEigenvalues:
+    """The symmetric eigenvalue solve behind ``spectral_radius_sqrt``."""
+
     def test_diagonal_sorted(self):
-        assert np.allclose(sym_eigenvalues(np.diag([3.0, 1.0, 2.0])), [1, 2, 3])
+        assert spectral_radius_sqrt(np.diag([3.0, 1.0, 2.0])) == pytest.approx(np.sqrt(3.0), rel=1e-15)
 
     def test_2x2_closed_form(self):
-        vals = sym_eigenvalues(EXAMPLE_COV)
         disc = np.sqrt(0.0025 + 0.64)
-        assert np.allclose(vals, [1.05 - disc, 1.05 + disc], atol=1e-9)
+        assert spectral_radius_sqrt(EXAMPLE_COV) ** 2 == pytest.approx(1.05 + disc, abs=1e-9)
 
     def test_identity(self):
-        assert np.allclose(sym_eigenvalues(np.eye(5)), np.ones(5))
+        assert spectral_radius_sqrt(np.eye(5)) == pytest.approx(1.0, rel=1e-15)
 
     @settings(max_examples=30)
     @given(square(5))
     def test_trace_and_determinant(self, a):
-        s = as_symmetric(a + a.T)
-        vals = sym_eigenvalues(s)
-        assert list(vals) == sorted(vals)
-        assert np.sum(vals) == pytest.approx(np.trace(s), rel=1e-10, abs=1e-10)
-        det = np.linalg.det(s)
-        assert np.prod(vals) == pytest.approx(det, rel=1e-8, abs=1e-8)
+        # for PSD S the largest eigenvalue lies in [trace/d, trace] and its
+        # d-th power bounds the determinant
+        s = congruence(a, np.eye(5))
+        lam = spectral_radius_sqrt(s) ** 2
+        trace = np.trace(s)
+        assert trace / 5 * (1 - 1e-10) - 1e-10 <= lam <= trace * (1 + 1e-10) + 1e-10
+        assert np.linalg.det(s) <= lam**5 * (1 + 1e-8) + 1e-8
 
     def test_orthogonal_similarity_invariance(self):
         rng = np.random.default_rng(7)
-        s = rng.normal(size=(6, 6))
-        s = as_symmetric(s + s.T)
+        a = rng.normal(size=(6, 6))
+        s = congruence(a, np.eye(6))
         q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
-        rotated = as_symmetric(q @ s @ q.T)
-        assert np.allclose(sym_eigenvalues(s), sym_eigenvalues(rotated), atol=1e-8)
+        rotated = congruence(q, s)
+        assert spectral_radius_sqrt(s) == pytest.approx(spectral_radius_sqrt(rotated), abs=1e-8)
 
 
 class TestCongruence:
@@ -236,6 +237,6 @@ class TestClipToPsd:
         q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(3, 3)))
         s = as_symmetric(q @ np.diag([1.0, 0.5, -1e-12]) @ q.T)
         repaired = clip_to_psd(s)
-        assert np.min(sym_eigenvalues(repaired)) > 0
+        assert np.min(np.linalg.eigvalsh(repaired)) > 0
         cholesky_lower(repaired)  # must succeed
         assert np.max(np.abs(repaired - s)) < 1e-7

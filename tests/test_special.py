@@ -10,12 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccrisk.special import (
-    chi2_cdf,
-    chi2_quantile,
     psi,
     psi_array,
     psi_inv,
-    reg_inc_beta,
     sector_fraction,
     sector_fraction_array,
     std_normal_cdf,
@@ -32,6 +29,24 @@ def oracle_normal_cdf(x: float) -> float:
 def oracle_chi2_cdf(x: float, d: int) -> float:
     # regularized lower incomplete gamma at (d/2, x/2)
     return float(mpmath.gammainc(d / 2, 0, x / 2, regularized=True))
+
+
+# psi is the chi-squared tail in the radius r = sqrt(x), and psi_inv its
+# inverse, so the chi-squared CDF and quantile are checked through them.
+def chi2_cdf(x: float, d: int) -> float:
+    return 1.0 - psi(math.sqrt(x), d)
+
+
+def chi2_quantile(p: float, d: int) -> float:
+    return psi_inv(1.0 - p, d) ** 2
+
+
+# sector_fraction(c, d) is the regularized incomplete beta I_x((d-1)/2, 1/2)
+# at x = 1 - c^2. Each check takes x at the c actually passed, because
+# forming c from x and back moves x by round-off.
+def inc_beta_at(c: float, d: int) -> tuple[float, float]:
+    """(x, I_x((d-1)/2, 1/2)) at c."""
+    return 1.0 - c * c, sector_fraction(c, d)
 
 
 class TestStdNormalCdf:
@@ -95,11 +110,8 @@ class TestChi2Cdf:
 
     @given(st.floats(0.01, 80), st.integers(1, 30))
     def test_matches_oracle(self, x, d):
+        # the only general-d oracle for the incomplete-gamma path
         assert chi2_cdf(x, d) == pytest.approx(oracle_chi2_cdf(x, d), abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            chi2_cdf(-1.0, 2)
 
 
 class TestChi2Quantile:
@@ -118,6 +130,7 @@ class TestChi2Quantile:
         assert chi2_cdf(chi2_quantile(p, d), d) == pytest.approx(p, abs=1e-9)
 
     def test_rejects_one(self):
+        # p = 1 is psi_inv at beta = 0, an infinite radius
         with pytest.raises(ValueError):
             chi2_quantile(1.0, 2)
 
@@ -173,31 +186,30 @@ class TestPsiInv:
 
 class TestRegIncBeta:
     def test_endpoints(self):
-        assert reg_inc_beta(0.0, 1.3, 2.7) == 0.0
-        assert reg_inc_beta(1.0, 1.3, 2.7) == 1.0
+        assert inc_beta_at(1.0, 4) == (0.0, 0.0)
+        assert inc_beta_at(0.0, 4) == (1.0, 1.0)
 
     def test_arcsine_midpoint(self):
-        assert reg_inc_beta(0.5, 0.5, 0.5) == pytest.approx(0.5, abs=1e-9)
+        assert sector_fraction(math.sqrt(0.5), 2) == pytest.approx(0.5, abs=1e-9)
 
     @given(st.floats(0, 1))
-    def test_arcsine_closed_form(self, x):
-        expected = (2 / math.pi) * math.asin(math.sqrt(x))
-        assert reg_inc_beta(x, 0.5, 0.5) == pytest.approx(expected, abs=1e-9)
+    def test_arcsine_closed_form(self, c):
+        x, value = inc_beta_at(c, 2)
+        assert value == pytest.approx((2 / math.pi) * math.asin(math.sqrt(x)), abs=1e-9)
 
-    # interior x only: forming 1 - x in double precision near the endpoints
+    # I_x(a, b) = 1 - I_{1-x}(b, a), at a = b = 1/2: complementary
+    # half-angles; interior x only, as near the endpoints forming 1 - x
     # perturbs the argument itself by more than the tolerance
-    @given(st.floats(1e-6, 1 - 1e-6), st.floats(0.1, 10), st.floats(0.1, 10))
-    def test_symmetry(self, x, a, b):
-        assert reg_inc_beta(x, a, b) == pytest.approx(1 - reg_inc_beta(1 - x, b, a), abs=1e-10)
+    @given(st.floats(1e-6, 1 - 1e-6))
+    def test_symmetry(self, x):
+        x1, value = inc_beta_at(math.sqrt(1.0 - x), 2)
+        x2, mirror = inc_beta_at(math.sqrt(x1), 2)
+        assert x1 + x2 == pytest.approx(1.0, abs=1e-15)
+        assert value == pytest.approx(1 - mirror, abs=1e-10)
 
     def test_monotone_in_x(self):
-        values = [reg_inc_beta(x, 2.0, 3.0) for x in (0.0, 0.2, 0.5, 0.8, 1.0)]
+        values = [inc_beta_at(math.sqrt(1.0 - x), 5)[1] for x in (0.0, 0.2, 0.5, 0.8, 1.0)]
         assert values == sorted(values)
-
-    @pytest.mark.parametrize("a,b", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
-    def test_rejects_nonpositive_shapes(self, a, b):
-        with pytest.raises(ValueError):
-            reg_inc_beta(0.5, a, b)
 
 
 class TestSectorFraction:

@@ -17,14 +17,16 @@ from ccrisk.risk import (
 )
 from ccrisk.special import psi, psi_inv
 from ccrisk.transcription import (
+    METHODS,
     Method,
     bound_linear_1d,
     bound_nakka_chung,
     bound_norm_highdim,
     bound_norm_lowdim,
-    quantile_vector,
     transcribe_dth_order,
     transcribe_first_order,
+    transcribe_linear_1d,
+    transcribe_nakka_chung,
     transcribe_spectral_radius,
 )
 
@@ -122,16 +124,16 @@ class TestFirstOrderTranscription:
 
 
 class TestQuantileVector:
-    def test_beta_one_returns_mean(self, example_2d):
-        assert np.array_equal(quantile_vector(example_2d, 1.0), example_2d.mean)
+    """The first-order margins are the componentwise (1 - beta)-quantile
+    bound mean + psi_inv(beta, d) * sigma."""
 
     def test_scalar_tightness(self):
         g = GaussianVec([0.0], [[1.0]])
-        assert quantile_vector(g, psi(2.0, 1))[0] == pytest.approx(2.0, abs=1e-10)
+        assert transcribe_first_order(g, psi(2.0, 1)).margins[0] == pytest.approx(2.0, abs=1e-10)
 
     def test_mc_coverage(self, example_2d):
         beta = 1e-3
-        q = quantile_vector(example_2d, beta)
+        q = transcribe_first_order(example_2d, beta).margins
         expected = example_2d.mean + psi_inv(beta, 2) * np.array([math.sqrt(1.1), 1.0])
         assert np.allclose(q, expected, rtol=1e-12)
         s = sample(example_2d, 2 * 10**5, 9)
@@ -219,6 +221,38 @@ class TestMethodInterplay:
         assert payload["method"] == "first_order"
         assert payload["satisfied"] is False
         assert len(payload["margins"]) == 2
+
+
+class TestScalarTranscriptions:
+    @pytest.mark.parametrize(
+        "transcribe,bound", [(transcribe_linear_1d, bound_linear_1d), (transcribe_nakka_chung, bound_nakka_chung)]
+    )
+    def test_margin_is_mean_plus_bound(self, transcribe, bound):
+        g = GaussianVec([-5.0], [[1.0]])
+        verdict = transcribe(g, 1e-3)
+        assert verdict.margins.tolist() == [-5.0 + bound(1e-3, 1.0)]
+        assert verdict.satisfied == (verdict.margins[0] <= 0.0)
+
+    @pytest.mark.parametrize("method", [Method.LINEAR_1D, Method.NAKKA_CHUNG])
+    def test_rejects_vector_input(self, method, example_2d):
+        transcribe, _ = METHODS[method]
+        with pytest.raises(ValueError, match=f"^method '{method.value}' only applies to scalar constraints$"):
+            transcribe(example_2d, 0.1)
+
+
+class TestMethodTable:
+    def test_keys_are_every_method(self):
+        assert list(METHODS) == list(Method)
+
+    @pytest.mark.parametrize("mean,var", [(-0.5, 1.0), (-2.0, 0.3), (-4.0, 2.0)])
+    def test_each_transcription_tight_at_its_risk(self, mean, var):
+        # each table entry pairs a transcription with the risk level at
+        # which it becomes tight; every method applies at d = 1
+        g = GaussianVec([mean], [[var]])
+        for method, (transcribe, risk) in METHODS.items():
+            verdict = transcribe(g, risk(g).value)
+            assert verdict.method is method
+            assert np.max(verdict.margins) == pytest.approx(0.0, abs=1e-9)
 
 
 class TestSharedWork:
