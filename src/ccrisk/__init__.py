@@ -1,6 +1,7 @@
 """Transcription of multidimensional Gaussian chance constraints into
 deterministic margin constraints, with failure-risk estimators, a seeded
-Monte-Carlo reference, and a conservatism metric for comparing methods."""
+directional-simulation reference, and a conservatism metric for comparing
+methods."""
 
 from .conservatism import ConservatismReport, conservatism, hierarchy_report
 from .gaussian import (
@@ -20,6 +21,7 @@ from .linalg import (
 from .risk import (
     McEstimate,
     RiskEstimate,
+    directional_risk,
     mc_risk,
     mc_sector_probability,
     risk_dth_order,

@@ -12,13 +12,13 @@ from .gaussian import GaussianVec
 from .risk import (
     McEstimate,
     RiskEstimate,
-    mc_risk,
+    directional_risk,
     risk_dth_order,
     risk_first_order,
     risk_spectral,
 )
 
-__all__ = ["conservatism", "ConservatismReport", "hierarchy_report"]
+__all__ = ["conservatism", "gamma_or_inf", "ConservatismReport", "hierarchy_report"]
 
 
 def conservatism(beta_t: float, beta_r: float) -> float:
@@ -43,10 +43,11 @@ def conservatism(beta_t: float, beta_r: float) -> float:
 
 @dataclass(frozen=True)
 class ConservatismReport:
-    """Per-method risk estimates and conservatism against one MC reference.
+    """Per-method risk estimates and conservatism against one
+    directional-simulation reference.
 
     ``hierarchy_ok`` certifies the exact estimator ordering
-    dth <= first <= spectral plus statistical consistency of the MC
+    dth <= first <= spectral plus statistical consistency of the
     reference with the tightest estimator.
     """
 
@@ -79,9 +80,13 @@ class ConservatismReport:
         }
 
 
-def _gamma_or_inf(beta_t: float, beta_r: float) -> Optional[float]:
-    # MC can report exactly 0 on rare events; the ratio is then unbounded.
-    # A risk estimate that underflows to exactly 0 gives a vanishing ratio.
+def gamma_or_inf(beta_t: float, beta_r: float) -> Optional[float]:
+    """Conservatism of beta_t against a reference that may read 0 or 1.
+
+    A reference of exactly 0 (a risk below what it resolves) makes the
+    ratio unbounded; an estimate that underflows to exactly 0 gives a
+    vanishing ratio; a reference of 1 leaves it undefined (None).
+    """
     if beta_t <= 0.0:
         return 0.0
     if beta_r <= 0.0:
@@ -92,19 +97,20 @@ def _gamma_or_inf(beta_t: float, beta_r: float) -> Optional[float]:
 
 
 def hierarchy_report(g: GaussianVec, mc_n: int, seed: int) -> ConservatismReport:
-    """Compute the three multidimensional estimators, the MC reference, and
-    their conservatism values on one instance.
+    """Compute the three multidimensional estimators, the reference risk
+    (``directional_risk`` over ``mc_n`` directions), and their conservatism
+    values on one instance.
 
     Requires mean <= 0 componentwise (the estimators are undefined
     otherwise). The hierarchy check is exact on the estimator chain and
-    statistical (5 CI halfwidths) against MC only.
+    statistical (5 CI halfwidths) against the reference only.
     """
     if np.any(g.mean > 0.0):
         raise ValueError("hierarchy report requires mean <= 0 componentwise")
     spectral = risk_spectral(g)
     first = risk_first_order(g)
     dth = risk_dth_order(g)
-    ref = mc_risk(g, mc_n, seed)
+    ref = directional_risk(g, mc_n, seed)
     hierarchy_ok = (
         dth.value <= first.value <= spectral.value
         and ref.estimate <= dth.value + 5.0 * ref.ci_halfwidth
@@ -114,8 +120,8 @@ def hierarchy_report(g: GaussianVec, mc_n: int, seed: int) -> ConservatismReport
         spectral=spectral,
         first_order=first,
         dth_order=dth,
-        gamma_spectral=_gamma_or_inf(spectral.value, ref.estimate),
-        gamma_first_order=_gamma_or_inf(first.value, ref.estimate),
-        gamma_dth_order=_gamma_or_inf(dth.value, ref.estimate),
+        gamma_spectral=gamma_or_inf(spectral.value, ref.estimate),
+        gamma_first_order=gamma_or_inf(first.value, ref.estimate),
+        gamma_dth_order=gamma_or_inf(dth.value, ref.estimate),
         hierarchy_ok=bool(hierarchy_ok),
     )

@@ -67,6 +67,13 @@ class TestSweep:
         medians = {r["method"]: r["median"] for r in rows}
         assert medians["spectral"] == medians["first_order"] == medians["dth_order"]
 
+    def test_d1_gamma_is_two(self):
+        # psi(r, 1) = 2 Phi(-r) is twice the one-sided risk Phi(-r), which
+        # the reference gives exactly, even from a single antithetic pair
+        rows = run_sweep(SweepConfig(dims=(1,), n_dists=20, mc_samples=2, seed=0))
+        for row in rows:
+            assert row["median"] == pytest.approx(2.0, rel=1e-4)
+
     def test_quick_caps_n_dists(self):
         cfg = SweepConfig(dims=(1,), n_dists=500, quick=True)
         assert cfg.n_dists == 100
@@ -214,10 +221,9 @@ class TestBoxStats:
 
     def test_zero_laden(self):
         assert self.stats([0.0, 0.0, 0.0, 0.0, 5.0]) == [0.0, 0.0, 0.0, 0.0, 0.0]
-        # the 75th percentile sits on the sample value 2.0, but numpy's
-        # linear interpolation forms 2 + (inf - 2) * 0 = nan, so q3 and the
-        # upper whisker read inf
-        assert self.stats([0.0, 0.0, 1.0, 2.0, math.inf]) == [1.0, 0.0, math.inf, 0.0, math.inf]
+        # the 75th percentile sits on the sample value 2.0; interpolating
+        # toward the inf beside it with weight 0 must not turn it into nan
+        assert self.stats([0.0, 0.0, 1.0, 2.0, math.inf]) == [1.0, 0.0, 2.0, 0.0, 2.0]
 
 
 class TestMainEntry:

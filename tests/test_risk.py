@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccrisk import risk
 from ccrisk.gaussian import GaussianVec
 from ccrisk.risk import (
+    directional_risk,
     dth_order_value,
     mc_risk,
     mc_sector_probability,
@@ -338,3 +340,115 @@ class TestMcSectorProbability:
             mc_sector_probability(2, 2.0, 1.0, [1.0, 0.0], 0.5, 100, 0)
         with pytest.raises(ValueError):
             mc_sector_probability(2, 0.0, 1.0, [2.0, 0.0], 0.5, 100, 0)
+
+
+class TestMcChunking:
+    def test_counting_independent_of_chunk(self, monkeypatch, example_2d):
+        # 70_001 is a multiple of neither chunk size, so both leave a partial chunk
+        results = []
+        for chunk in (7, 65_536):
+            monkeypatch.setattr(risk, "_MC_CHUNK", chunk)
+            results.append(
+                (
+                    mc_risk(example_2d, 70_001, 8),
+                    mc_sector_probability(3, 0.5, 2.0, [0.6, 0.0, 0.8], 1.0, 70_001, 9),
+                )
+            )
+        assert results[0] == results[1]
+
+    def test_directional_merge_matches_one_chunk(self, monkeypatch, example_2d):
+        # the chunks' centred sums combine to the one-chunk variance
+        whole = directional_risk(example_2d, 70_001, 8)
+        monkeypatch.setattr(risk, "_MC_CHUNK", 7)
+        parts = directional_risk(example_2d, 70_001, 8)
+        assert parts.estimate == pytest.approx(whole.estimate, rel=1e-12)
+        assert parts.ci_halfwidth == pytest.approx(whole.ci_halfwidth, rel=1e-9)
+
+
+def _correlated_gaussian(kind, d, seed, lo):
+    """A random, equicorrelated or near-rank-2 covariance with standardized
+    margins drawn from [lo, 7]."""
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        a = rng.normal(size=(d, d))
+        corr = a @ a.T + 0.1 * np.eye(d)
+    elif kind == "equicorrelated":
+        rho = rng.uniform(-1.0 / (d - 1) + 0.01, 0.9)
+        corr = np.full((d, d), rho) + (1.0 - rho) * np.eye(d)
+    else:
+        b = rng.normal(size=(d, 2))
+        corr = b @ b.T + 1e-3 * np.eye(d)
+    scale = np.exp(rng.uniform(-2.0, 2.0, size=d)) / np.sqrt(np.diag(corr))
+    cov = corr * np.outer(scale, scale)
+    margins = rng.uniform(lo, 7.0, size=d)
+    return GaussianVec(-margins * np.sqrt(np.diag(cov)), cov)
+
+
+class TestDirectionalRisk:
+    @pytest.mark.parametrize("k", range(1, 10))
+    @pytest.mark.parametrize("sigma", [0.7, 3.1])
+    def test_d1_exact(self, k, sigma):
+        truth = float(mpmath.ncdf(-k))
+        ds = directional_risk(scalar(-k * sigma, sigma * sigma), 1000, k)
+        assert ds.estimate == pytest.approx(truth, rel=1e-12, abs=0)
+        assert ds.ci_low <= truth <= ds.ci_high
+
+    @pytest.mark.parametrize(
+        "d,margins", [(2, (0.8, 1.5, 2.5, 3.2)), (6, (1.2, 2.0, 3.0, 3.5)), (12, (1.6, 2.5, 3.0, 3.7))],
+        ids=["d2", "d6", "d12"],
+    )
+    def test_agrees_with_counting(self, d, margins):
+        # equal standardized margins, chosen for risks from 0.5 down to 1e-3
+        rng = np.random.default_rng(40 + d)
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.1 * np.eye(d)
+        sigma = np.sqrt(np.diag(cov))
+        for r in margins:
+            g = GaussianVec(-r * sigma, cov)
+            mc = mc_risk(g, 10**6, 1)
+            ds = directional_risk(g, 10**5, 2)
+            assert 1e-3 <= mc.estimate <= 0.5
+            assert abs(ds.estimate - mc.estimate) <= 5 * math.hypot(ds.ci_halfwidth, mc.ci_halfwidth)
+
+    def test_zero_mean_component(self):
+        # the first constraint is active at the origin: every ray with a
+        # positive first component fails at radius 0
+        ds = directional_risk(GaussianVec([0.0, -2.0], np.eye(2)), 10**5, 0)
+        truth = 1.0 - 0.5 * std_normal_cdf(2.0)
+        assert math.isfinite(ds.estimate)
+        assert abs(ds.estimate - truth) <= 5 * ds.ci_halfwidth
+
+    def test_rejects_positive_mean_and_empty_draw(self, example_2d):
+        with pytest.raises(ValueError):
+            directional_risk(GaussianVec([0.5, -1.0], np.eye(2)), 100, 0)
+        with pytest.raises(ValueError):
+            directional_risk(example_2d, 0, 0)
+
+    def test_deterministic_per_seed(self, example_2d):
+        a = directional_risk(example_2d, 10**4, 123)
+        assert directional_risk(example_2d, 10**4, 123) == a
+        assert directional_risk(example_2d, 10**4, 124).estimate != a.estimate
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_pair_has_no_interval(self, n, example_2d):
+        ds = directional_risk(example_2d, n, 0)
+        assert (ds.ci_low, ds.ci_high) == (0.0, 1.0)
+        assert 0.0 < ds.estimate < 1.0
+
+    def test_serialization_names_estimator(self, example_2d):
+        assert directional_risk(example_2d, 10, 0).to_dict()["estimator"] == "directional"
+        assert mc_risk(example_2d, 10, 0).to_dict()["estimator"] == "counting"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["random", "equicorrelated", "near_rank_2"]),
+        st.integers(2, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.5, 7.0),
+    )
+    def test_dth_order_bounds_correlated_deep_tail(self, kind, d, seed, lo):
+        # the only upper-bound check on correlated instances in the tail,
+        # where plain counting sees no hits
+        g = _correlated_gaussian(kind, d, seed, lo)
+        ds = directional_risk(g, 20_000, seed)
+        assert risk_dth_order(g).value >= ds.estimate - 5 * ds.ci_halfwidth
