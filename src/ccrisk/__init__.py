@@ -22,6 +22,7 @@ from .risk import (
     McEstimate,
     RiskEstimate,
     directional_risk,
+    directional_risks,
     mc_risk,
     mc_sector_probability,
     risk_dth_order,

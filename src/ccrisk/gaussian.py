@@ -168,9 +168,12 @@ def sample(g: GaussianVec, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` samples of g, deterministically for a given seed.
 
     Uses the counter-based Philox generator so that identical
-    ``(g, n, seed)`` gives bitwise-identical output on any platform and so
-    parallel callers can partition the seed space (convention:
-    ``seed ^ task_index``).
+    ``(g, n, seed)`` gives bitwise-identical output on any platform. Parallel
+    callers should derive one seed per task with
+    ``np.random.SeedSequence(seed, spawn_key=(task_index,))``, as the
+    directional reference does for its blocks; ``seed ^ task_index`` would
+    give colliding streams, since (seed 1, task 0) and (seed 0, task 1) share
+    one.
     """
     if n < 0:
         raise ValueError("sample count must be nonnegative")

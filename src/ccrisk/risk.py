@@ -10,6 +10,9 @@ the closed forms to.
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
@@ -29,14 +32,18 @@ __all__ = [
     "risk_first_order",
     "risk_dth_order",
     "directional_risk",
+    "directional_risks",
     "mc_risk",
     "mc_sector_probability",
     "wilson_interval",
 ]
 
-# rows of normals drawn at a time, which bounds the kernels' memory; the
-# counts do not depend on it, and directional sums only through round-off
+# rows of normals the counting oracles draw at a time, which bounds their
+# memory; the counts do not depend on it
 _MC_CHUNK = 65_536
+# antithetic pairs per block of the directional reference: the unit of its
+# random streams and of its parallel work. A block holds about 7 MB at d = 25.
+_BLOCK = 16_384
 _Z95 = 1.959963984540054
 
 
@@ -232,8 +239,10 @@ def risk_dth_order(g: GaussianVec) -> RiskEstimate:
     return RiskEstimate("dth_order", g.dth_order_risk)
 
 
-def directional_risk(g: GaussianVec, n: int, seed: int) -> McEstimate:
-    """Directional-simulation estimate of the real failure risk 1 - P(y <= 0).
+def directional_risks(gs, n: int, seeds) -> list[McEstimate]:
+    """Directional-simulation estimates of the real failure risk
+    1 - P(y <= 0), one per distribution in ``gs``, with ``n`` directions and
+    its own seed each.
 
     Write y = mean + L z with z = R u, where u is uniform on the unit sphere
     and R ~ chi_d is independent of it. With mean <= 0 the safe set is
@@ -248,48 +257,121 @@ def directional_risk(g: GaussianVec, n: int, seed: int) -> McEstimate:
     half-width of at least 1e-12 of the estimate, the relative accuracy of
     psi itself: at d = 1 every pair gives the exact risk and the sampling
     interval would have zero width. A single pair has no variance and
-    reports [0, 1]. The result is identical for a given seed.
+    reports [0, 1].
+
+    The pairs come in blocks of ``_BLOCK``; block b of a reference draws
+    from Philox(SeedSequence(seed, spawn_key=(b,))), and the blocks' sums
+    merge in block order. So each result depends only on its
+    (distribution, n, seed): not on the other distributions in the batch,
+    and not on how many threads run the blocks. Every input is checked
+    before anything is drawn.
     """
-    if np.any(g.mean > 0.0):
-        raise ValueError("directional simulation requires mean <= 0 componentwise")
+    gs = list(gs)
+    seeds = [int(s) for s in seeds]
+    if len(seeds) != len(gs):
+        raise ValueError(f"need one seed per distribution, got {len(seeds)} for {len(gs)}")
     if n < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
+    if any(np.any(g.mean > 0.0) for g in gs):
+        raise ValueError("directional simulation requires mean <= 0 componentwise")
+    pairs = (int(n) + 1) // 2
+    sizes = [min(_BLOCK, pairs - start) for start in range(0, pairs, _BLOCK)]
+    tasks = []
+    for g, seed in zip(gs, seeds):
+        with np.errstate(divide="ignore"):
+            # +inf at a zero mean component, whose constraint is active at the origin
+            inv_margin = 1.0 / np.abs(g.mean)
+        tasks += [(g.chol, inv_margin, seed, b, m) for b, m in enumerate(sizes)]
+    sums = _map(_directional_block, tasks)
+    k = len(sizes)
+    return [_merge_blocks(sums[i * k : (i + 1) * k], int(n), seed) for i, seed in enumerate(seeds)]
+
+
+def directional_risk(g: GaussianVec, n: int, seed: int) -> McEstimate:
+    """Directional-simulation estimate of one distribution's failure risk;
+    a batch of one of ``directional_risks``, which documents it."""
+    return directional_risks([g], n, [seed])[0]
+
+
+# threads that run the directional blocks, one per CPU this process may run
+# on; the pool starts on first use
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_POOL: Optional[ThreadPoolExecutor] = None
+
+
+def _reset_pool() -> None:
+    # a forked child inherits the executor but none of its threads, so its
+    # map would wait forever; the child starts a pool of its own
+    global _POOL
+    _POOL = None
+
+
+if hasattr(os, "register_at_fork"):  # POSIX; elsewhere nothing forks
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _map(fn, tasks: list) -> list:
+    """``[fn(t) for t in tasks]``, on the thread pool when there is more
+    than one task and more than one core. NumPy releases the GIL in the
+    blocks' draws, products and special functions."""
+    global _POOL
+    if len(tasks) < 2 or _WORKERS < 2:
+        return list(map(fn, tasks))
+    if _POOL is None:
+        _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="ccrisk")
+    return list(_POOL.map(fn, tasks))
+
+
+# each thread's block buffer: a fresh multi-megabyte array per block would
+# go back to the OS on every free and fault its pages in again
+_BUFFERS = threading.local()
+
+
+def _directional_block(task) -> tuple[float, float, int]:
+    """(sum, centred sum of squares, count) of one block's pair means."""
+    chol, inv_margin, seed, b, m = task
+    d = chol.shape[0]
+    buf = getattr(_BUFFERS, "buf", None)
+    if buf is None or buf.size < 2 * m * d:
+        buf = _BUFFERS.buf = np.empty(2 * m * d)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
+    z = rng.standard_normal(out=buf[: m * d].reshape(m, d))
+    # (L z)_i / -mean_i, one column per pair, scaled after the product:
+    # L / -mean would put 0 * inf = nan in L's zero triangle when a mean
+    # component is zero
+    a = np.matmul(chol, z.T, out=buf[m * d : 2 * m * d].reshape(d, m))
+    a *= inv_margin[:, None]
+    norm = np.sqrt(np.einsum("ij,ij->i", z, z))
+    # errstate is a context variable, so a pool thread needs its own
     with np.errstate(divide="ignore"):
-        # +inf at a zero mean component, whose constraint is active at the origin
-        inv_margin = 1.0 / np.abs(g.mean)
+        # exit radius of the rays along z and -z; inf (psi = 0) for a
+        # ray with no positive entry, which never leaves the safe set
+        t = norm / np.maximum(np.stack((a.max(axis=0), -a.min(axis=0))), 0.0)
+    p = special.psi_array(t, d)
+    v = 0.5 * (p[0] + p[1])
+    s = float(v.sum())
+    return s, float(np.square(v - s / m).sum()), m
+
+
+def _merge_blocks(sums, n: int, seed: int) -> McEstimate:
+    """Merge one reference's block sums, in block order, into its estimate
+    and interval."""
     total = m2 = 0.0
     pairs = 0
-    remaining = (int(n) + 1) // 2
-    while remaining > 0:
-        m = min(remaining, _MC_CHUNK)
-        z = rng.standard_normal((m, g.dim))
-        # (L z)_i / -mean_i, one column per pair, scaled after the product:
-        # L / -mean would put 0 * inf = nan in L's zero triangle when a mean
-        # component is zero
-        a = (g.chol @ z.T) * inv_margin[:, None]
-        norm = np.sqrt(np.einsum("ij,ij->i", z, z))
-        with np.errstate(divide="ignore"):
-            # exit radius of the rays along z and -z; inf (psi = 0) for a
-            # ray with no positive entry, which never leaves the safe set
-            t = norm / np.maximum(np.stack((a.max(axis=0), -a.min(axis=0))), 0.0)
-        p = special.psi_array(t, g.dim)
-        v = 0.5 * (p[0] + p[1])
+    for s, q, m in sums:
         # Chan's update of the centred sum of squares; sum(v^2) - n * mean^2
         # would cancel at small risks
-        s = float(v.sum())
         delta = s / m - total / max(pairs, 1)
-        m2 += float(np.square(v - s / m).sum()) + delta * delta * pairs * m / (pairs + m)
+        m2 += q + delta * delta * pairs * m / (pairs + m)
         total += s
         pairs += m
-        remaining -= m
     estimate = total / pairs
     if pairs < 2:
         lo, hi = 0.0, 1.0
     else:
         half = max(_Z95 * math.sqrt(m2 / ((pairs - 1) * pairs)), 1e-12 * estimate)
         lo, hi = max(estimate - half, 0.0), min(estimate + half, 1.0)
-    return McEstimate(estimate, lo, hi, int(n), int(seed), "directional")
+    return McEstimate(estimate, lo, hi, n, seed, "directional")
 
 
 def mc_risk(g: GaussianVec, n: int, seed: int) -> McEstimate:

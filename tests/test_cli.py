@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+import ccrisk.cli
 from ccrisk.cli import (
     EXIT_DOMAIN,
     EXIT_OK,
@@ -284,3 +285,19 @@ class TestMainEntry:
         assert code == EXIT_OK
         records = parse_csv(plot.read_text())
         assert {r["statistic"] for r in records} == {"median", "q1", "q3", "whisker_lo", "whisker_hi"}
+
+    def test_uncaught_error_one_line_domain_exit(self, monkeypatch, capsys):
+        def boom(cfg):
+            raise RuntimeError("worker failed")
+
+        monkeypatch.setattr(ccrisk.cli, "run_sweep", boom)
+        assert main(["sweep", "--dims", "1"]) == EXIT_DOMAIN
+        assert capsys.readouterr().err == "error: worker failed\n"
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupt(cfg):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ccrisk.cli, "run_sweep", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            main(["sweep", "--dims", "1"])

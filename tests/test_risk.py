@@ -1,6 +1,9 @@
 """Risk estimators against closed forms and the Monte-Carlo oracles."""
 
 import math
+import multiprocessing
+import os
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,6 +15,7 @@ from ccrisk import risk
 from ccrisk.gaussian import GaussianVec
 from ccrisk.risk import (
     directional_risk,
+    directional_risks,
     dth_order_value,
     mc_risk,
     mc_sector_probability,
@@ -356,13 +360,72 @@ class TestMcChunking:
             )
         assert results[0] == results[1]
 
-    def test_directional_merge_matches_one_chunk(self, monkeypatch, example_2d):
-        # the chunks' centred sums combine to the one-chunk variance
-        whole = directional_risk(example_2d, 70_001, 8)
-        monkeypatch.setattr(risk, "_MC_CHUNK", 7)
-        parts = directional_risk(example_2d, 70_001, 8)
-        assert parts.estimate == pytest.approx(whole.estimate, rel=1e-12)
-        assert parts.ci_halfwidth == pytest.approx(whole.ci_halfwidth, rel=1e-9)
+    def test_directional_block_merge_matches_two_pass(self, monkeypatch, example_2d):
+        # 7-pair blocks, the last one partial: the blocks' centred sums merge
+        # to the two-pass mean and variance of the same pair means
+        monkeypatch.setattr(risk, "_BLOCK", 7)
+        n, seed = 2 * (3 * 7) + 6, 8
+        v = []
+        for b, m in enumerate((7, 7, 7, 3)):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
+            z = rng.standard_normal((m, 2))
+            y = z @ example_2d.chol.T
+            for sign in (1.0, -1.0):
+                # exit radius of the ray along sign * z: the nearest
+                # constraint it crosses
+                scale = np.where(sign * y > 0.0, -example_2d.mean / (sign * y), np.inf)
+                t = np.linalg.norm(z, axis=1) * scale.min(axis=1)
+                v.append([psi(float(x), 2) if math.isfinite(x) else 0.0 for x in t])
+        pair_means = 0.5 * (np.concatenate(v[0::2]) + np.concatenate(v[1::2]))
+        assert pair_means.size == 24
+        mean = float(np.mean(pair_means))
+        half = 1.959963984540054 * float(np.std(pair_means, ddof=1)) / math.sqrt(pair_means.size)
+        ds = directional_risk(example_2d, n, seed)
+        assert ds.estimate == pytest.approx(mean, rel=1e-12)
+        assert ds.ci_halfwidth == pytest.approx(half, rel=1e-9)
+
+
+class TestDirectionalParallel:
+    N = 2 * (3 * risk._BLOCK) + 7  # three full blocks and a partial fourth
+
+    def test_identical_for_any_worker_count(self, monkeypatch, example_2d):
+        results = []
+        for workers in (1, 3):
+            monkeypatch.setattr(risk, "_WORKERS", workers)
+            monkeypatch.setattr(risk, "_POOL", None)
+            results.append(directional_risk(example_2d, self.N, 11))
+            if risk._POOL is not None:
+                risk._POOL.shutdown()
+        assert results[0] == results[1]
+
+    def test_batch_equals_scalar_calls(self, example_2d):
+        g2 = GaussianVec([-1.5, -2.5, -0.5], [[1.0, 0.2, 0.0], [0.2, 2.0, 0.3], [0.0, 0.3, 0.5]])
+        batch = directional_risks([example_2d, g2], self.N, [4, 5])
+        assert batch == [directional_risk(example_2d, self.N, 4), directional_risk(g2, self.N, 5)]
+
+    def test_checks_every_instance_before_drawing(self, monkeypatch, example_2d):
+        def no_draw(task):
+            raise AssertionError("drew before checking every instance")
+
+        monkeypatch.setattr(risk, "_directional_block", no_draw)
+        with pytest.raises(ValueError, match="mean <= 0"):
+            directional_risks([example_2d, GaussianVec([-1.0, 0.5], np.eye(2))], 100, [0, 1])
+        with pytest.raises(ValueError, match="one seed per"):
+            directional_risks([example_2d, example_2d], 100, [0])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_after_pool_use(self, monkeypatch, example_2d):
+        # the child inherits the pool object but not its threads
+        monkeypatch.setattr(risk, "_WORKERS", 2)
+        expected = directional_risk(example_2d, self.N, 12)
+        assert risk._POOL is not None
+        ctx = multiprocessing.get_context("fork")
+        with warnings.catch_warnings():
+            # Python 3.12+ warns about forking a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with ctx.Pool(1) as pool:
+                child = pool.apply_async(directional_risk, (example_2d, self.N, 12)).get(timeout=60)
+        assert child == expected
 
 
 def _correlated_gaussian(kind, d, seed, lo):
