@@ -3,7 +3,7 @@ deterministic margin constraints, with failure-risk estimators, a seeded
 directional-simulation reference, and a conservatism metric for comparing
 methods."""
 
-from .conservatism import ConservatismReport, conservatism, hierarchy_report
+from .conservatism import ConservatismReport, conservatism, hierarchy_report, hierarchy_reports
 from .gaussian import (
     GaussianVec,
     LinearConstraintModel,

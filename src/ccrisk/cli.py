@@ -24,10 +24,12 @@ and at table2's d = 6 risk of 6.7e-6 the default 1e7 directions reach a
 relative standard error of about 0.3%.
 
 Parallelism: the reference draws its pairs in fixed blocks with a Philox
-stream each and runs the blocks on one thread per available core; the
-sweep hands all of a dimension's instances to one call. The blocks merge in
-order, so every output is the same on any number of cores. Uncaught errors
-exit 1 with one ``error:`` line.
+stream each and runs the blocks on one thread per available core.
+``conservatism.hierarchy_reports`` scores a batch in one reference call:
+the sweep passes all of a dimension's instances, and table2 both its
+sections. The blocks merge in order, so every output is the same on any
+number of cores. A malformed flag value or ``check`` input exits 2, any
+other uncaught error 1, each with one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -42,19 +44,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conservatism import conservatism, gamma_or_inf, hierarchy_report
+from .conservatism import gamma_or_inf, hierarchy_report, hierarchy_reports
 from .fixtures import DEFAULT_FIXTURE, DEFAULT_TARGET_STATE, EarthMarsFixture, box_constraint_distribution
 from .gaussian import GaussianVec
 from .linalg import NotPositiveDefiniteError
-from .risk import (
-    directional_risk,
-    directional_risks,
-    risk_dth_order,
-    risk_first_order,
-    risk_nakka_chung,
-    risk_norm_spectral,
-    risk_spectral,
-)
+from .risk import directional_risk, risk_first_order, risk_nakka_chung, risk_norm_spectral
 from .special import psi_inv
 from .transcription import METHODS
 
@@ -92,6 +86,8 @@ class SweepConfig:
             raise ValueError("dims must be a nonempty list of positive ints")
         if self.n_dists < 1:
             raise ValueError("n_dists must be >= 1")
+        if not 0.0 < self.beta < 1.0:
+            raise ValueError(f"beta must lie strictly in (0, 1), got {self.beta}")
         if self.quick:
             self.n_dists = min(self.n_dists, 100)
 
@@ -181,17 +177,12 @@ def run_sweep(cfg: SweepConfig) -> list[dict]:
             n_rejected += rej
             instances.append(g)
         # one batch per dimension, so the reference's blocks fill every core
-        refs = directional_risks(
+        reports = hierarchy_reports(
             instances, cfg.mc_samples, [_sub_seed(cfg.seed, d, i) for i in range(cfg.n_dists)]
         )
-        gammas = {"spectral": [], "first_order": [], "dth_order": []}
-        for g, ref in zip(instances, refs):
-            gammas["spectral"].append(gamma_or_inf(risk_spectral(g).value, ref.estimate))
-            gammas["first_order"].append(gamma_or_inf(risk_first_order(g).value, ref.estimate))
-            gammas["dth_order"].append(gamma_or_inf(risk_dth_order(g).value, ref.estimate))
-        for method, vals in gammas.items():
+        for method in reports[0].gamma:
             row = {"dim": d, "method": method, "n_rejected": n_rejected}
-            row.update(_box_stats(vals))
+            row.update(_box_stats([r.gamma[method] for r in reports]))
             rows.append(row)
     return rows
 
@@ -217,19 +208,10 @@ def run_table1(fixture: EarthMarsFixture, mc_samples: int, seed: int) -> dict:
     if mc_samples > 0:
         ref = directional_risk(g, mc_samples, seed)
         rows.append({"method": "mc_true", "risk": ref.estimate, "conservatism": None})
-
-    def gamma(beta_t):
-        if ref is None or ref.estimate <= 0.0:
-            return None
-        return conservatism(beta_t, ref.estimate)
-
     spectral = risk_norm_spectral(fixture.u0_mean, fixture.sigma_u0, fixture.u_max)
-    nc = risk_nakka_chung(g)
-    first = risk_first_order(g)
-    for est in (spectral, nc, first):
-        rows.append(
-            {"method": est.method, "risk": est.value, "conservatism": gamma(est.value)}
-        )
+    for est in (spectral, risk_nakka_chung(g), risk_first_order(g)):
+        gamma = None if ref is None else gamma_or_inf(est.value, ref.estimate)
+        rows.append({"method": est.method, "risk": est.value, "conservatism": gamma})
     return {
         "table": "control_magnitude",
         "mc_samples": mc_samples,
@@ -253,15 +235,16 @@ def run_table2(
     """
     target = DEFAULT_TARGET_STATE if target_state is None else np.asarray(target_state, float)
     default_used = target_state is None
+    layout = ((True, 6), (False, 12))
+    gs = [box_constraint_distribution(fixture, target, position_only) for position_only, _ in layout]
+    # both sections in one batch, so the reference's blocks fill every core
+    reports = hierarchy_reports(gs, mc_samples, [_sub_seed(seed, d) for _, d in layout])
     sections = []
-    for position_only, d in ((True, 6), (False, 12)):
-        g = box_constraint_distribution(fixture, target, position_only)
-        report = hierarchy_report(g, mc_samples, _sub_seed(seed, d))
-        rows = [
-            {"method": "mc_true", "risk": report.beta_r.estimate, "conservatism": None},
-            {"method": "spectral", "risk": report.spectral.value, "conservatism": report.gamma_spectral},
-            {"method": "first_order", "risk": report.first_order.value, "conservatism": report.gamma_first_order},
-            {"method": "dth_order", "risk": report.dth_order.value, "conservatism": report.gamma_dth_order},
+    for (position_only, d), report in zip(layout, reports):
+        rows = [{"method": "mc_true", "risk": report.beta_r.estimate, "conservatism": None}]
+        rows += [
+            {"method": m, "risk": e.value, "conservatism": report.gamma[m]}
+            for m, e in report.estimates.items()
         ]
         sections.append(
             {
@@ -327,10 +310,7 @@ def run_check(
         "risk_estimates": [e.to_dict() for e in estimates],
     }
     if mc_samples > 0:
-        if np.any(g.mean > 0.0):
-            report["conservatism"] = None
-        else:
-            report["conservatism"] = hierarchy_report(g, mc_samples, seed).to_dict()
+        report["conservatism"] = hierarchy_report(g, mc_samples, seed).to_dict() if g.mean_nonpositive else None
     code = EXIT_DOMAIN if any(not e.defined for e in estimates) else EXIT_OK
     return report, code
 
@@ -426,14 +406,17 @@ def _write_output(text: str, out_path) -> None:
 # ---------------------------------------------------------------------------
 
 def _parse_dims(text: str) -> tuple:
+    """Dimensions from a comma-separated list of dimensions and ranges lo..hi."""
     dims = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            dims.extend(range(int(lo), int(hi) + 1))
-        elif part:
-            dims.append(int(part))
+    for part in filter(None, map(str.strip, text.split(","))):
+        lo, _, hi = part.partition("..")
+        try:
+            span = range(int(lo), int(hi or lo) + 1)
+        except ValueError:
+            span = range(0)
+        if not span:
+            raise ValueError(f'--dims: {part!r} is neither a dimension nor a range "lo..hi" with lo <= hi')
+        dims.extend(span)
     return tuple(dims)
 
 
@@ -477,43 +460,61 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# --mc-samples when it is not given: (full run, --quick run)
+_MC_SAMPLES = {"table1": (10**6, 10**4), "table2": (10**7, 10**6), "sweep": (10**5, 10**5), "check": (10**6, 10**6)}
+
+
+def _resolve_flags(args) -> None:
+    """Check the flag values argparse passes on as typed, and complete or
+    parse them in ``args``; ValueError names the bad one."""
+    # every generator takes the seed as an unsigned 64-bit integer
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must lie in [0, 2**64), got {args.seed}")
+    # check draws a reference only with --mc, and table1 at 0 gives its risk-only table
+    no_reference = args.command == "check" and not args.mc
+    least = 0 if no_reference or args.command == "table1" else 1
+    if args.mc_samples is None:
+        args.mc_samples = _MC_SAMPLES[args.command][args.quick]
+    elif args.mc_samples < least:
+        raise ValueError(f"--mc-samples must be at least {least}, got {args.mc_samples}")
+    if no_reference:
+        args.mc_samples = 0
+    if args.command == "table2" and args.target_state is not None:
+        try:
+            target = [float(v) for v in args.target_state.split(",")]
+        except ValueError:
+            target = []
+        if len(target) != 6 or not all(map(math.isfinite, target)):
+            raise ValueError(f"--target-state needs 6 finite comma-separated numbers, got {args.target_state!r}")
+        args.target_state = target
+    if args.command == "sweep":
+        dims = _parse_dims(args.dims)
+        args.config = SweepConfig(dims, args.n_dists, args.beta, args.mc_samples, args.seed, args.quick)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    # every generator takes the seed as an unsigned 64-bit integer
-    if not 0 <= args.seed < 2**64:
-        print(f"error: --seed must lie in [0, 2**64), got {args.seed}", file=sys.stderr)
+    try:
+        _resolve_flags(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
         if args.command == "table1":
-            mc = args.mc_samples if args.mc_samples is not None else (10**4 if args.quick else 10**6)
-            result = run_table1(DEFAULT_FIXTURE, mc, args.seed)
+            result = run_table1(DEFAULT_FIXTURE, args.mc_samples, args.seed)
             text = _dump_json(result) if args.format == "json" else _table_csv(result)
             _write_output(text, args.out)
         elif args.command == "table2":
-            mc = args.mc_samples if args.mc_samples is not None else (10**6 if args.quick else 10**7)
-            target = None
-            if args.target_state is not None:
-                target = [float(v) for v in args.target_state.split(",")]
-                if len(target) != 6:
-                    raise ValueError("--target-state needs 6 components")
-            result = run_table2(DEFAULT_FIXTURE, target, mc, args.seed)
+            result = run_table2(DEFAULT_FIXTURE, args.target_state, args.mc_samples, args.seed)
             text = _dump_json(result) if args.format == "json" else _table_csv(result)
             _write_output(text, args.out)
         elif args.command == "sweep":
-            cfg = SweepConfig(
-                dims=_parse_dims(args.dims),
-                n_dists=args.n_dists,
-                beta=args.beta,
-                mc_samples=args.mc_samples if args.mc_samples is not None else 100_000,
-                seed=args.seed,
-                quick=args.quick,
-            )
-            rows = run_sweep(cfg)
+            rows = run_sweep(args.config)
             text = _dump_json(rows) if args.format == "json" else sweep_csv(rows)
             _write_output(text, args.out)
             if args.emit_plot_data:
@@ -530,9 +531,8 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 print(f"error: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}", file=sys.stderr)
                 return EXIT_USAGE
-            mc = (args.mc_samples if args.mc_samples is not None else 10**6) if args.mc else 0
             try:
-                report, code = run_check(payload, mc_samples=mc, seed=args.seed)
+                report, code = run_check(payload, mc_samples=args.mc_samples, seed=args.seed)
             except (ValueError, KeyError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE

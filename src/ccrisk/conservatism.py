@@ -6,19 +6,17 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .gaussian import GaussianVec
 from .risk import (
     McEstimate,
     RiskEstimate,
-    directional_risk,
+    directional_risks,
     risk_dth_order,
     risk_first_order,
     risk_spectral,
 )
 
-__all__ = ["conservatism", "gamma_or_inf", "ConservatismReport", "hierarchy_report"]
+__all__ = ["conservatism", "gamma_or_inf", "ConservatismReport", "hierarchy_report", "hierarchy_reports"]
 
 
 def conservatism(beta_t: float, beta_r: float) -> float:
@@ -46,36 +44,22 @@ class ConservatismReport:
     """Per-method risk estimates and conservatism against one
     directional-simulation reference.
 
-    ``hierarchy_ok`` certifies the exact estimator ordering
-    dth <= first <= spectral plus statistical consistency of the
-    reference with the tightest estimator.
+    ``estimates`` and ``gamma`` are keyed by method, loosest first:
+    ``spectral``, ``first_order``, ``dth_order``. ``hierarchy_ok`` certifies
+    the exact estimator ordering dth <= first <= spectral plus statistical
+    consistency of the reference with the tightest estimator.
     """
 
     beta_r: McEstimate
-    spectral: RiskEstimate
-    first_order: RiskEstimate
-    dth_order: RiskEstimate
-    gamma_spectral: float
-    gamma_first_order: float
-    gamma_dth_order: float
+    estimates: dict[str, RiskEstimate]
+    gamma: dict[str, Optional[float]]
     hierarchy_ok: bool
 
     def to_dict(self) -> dict:
-        def _num(x: float):
-            return "inf" if math.isinf(x) else x
-
         return {
             "beta_r": self.beta_r.to_dict(),
-            "estimates": {
-                "spectral": self.spectral.to_dict(),
-                "first_order": self.first_order.to_dict(),
-                "dth_order": self.dth_order.to_dict(),
-            },
-            "gamma": {
-                "spectral": _num(self.gamma_spectral),
-                "first_order": _num(self.gamma_first_order),
-                "dth_order": _num(self.gamma_dth_order),
-            },
+            "estimates": {m: e.to_dict() for m, e in self.estimates.items()},
+            "gamma": {m: "inf" if math.isinf(x) else x for m, x in self.gamma.items()},
             "hierarchy_ok": self.hierarchy_ok,
         }
 
@@ -96,32 +80,37 @@ def gamma_or_inf(beta_t: float, beta_r: float) -> Optional[float]:
     return conservatism(beta_t, beta_r)
 
 
-def hierarchy_report(g: GaussianVec, mc_n: int, seed: int) -> ConservatismReport:
+def _estimates(g: GaussianVec) -> dict[str, RiskEstimate]:
+    """The three multidimensional estimators, loosest first."""
+    return {"spectral": risk_spectral(g), "first_order": risk_first_order(g), "dth_order": risk_dth_order(g)}
+
+
+def hierarchy_reports(gs, mc_n: int, seeds) -> list[ConservatismReport]:
     """Compute the three multidimensional estimators, the reference risk
-    (``directional_risk`` over ``mc_n`` directions), and their conservatism
-    values on one instance.
+    (``directional_risks`` over ``mc_n`` directions, one seed per
+    distribution), and their conservatism values on each distribution in
+    ``gs``.
 
     Requires mean <= 0 componentwise (the estimators are undefined
-    otherwise). The hierarchy check is exact on the estimator chain and
-    statistical (5 CI halfwidths) against the reference only.
+    otherwise); the reference checks every input before it draws. Each
+    report depends only on its (distribution, mc_n, seed). The hierarchy
+    check is exact on the estimator chain and statistical (5 CI halfwidths)
+    against the reference only.
     """
-    if np.any(g.mean > 0.0):
-        raise ValueError("hierarchy report requires mean <= 0 componentwise")
-    spectral = risk_spectral(g)
-    first = risk_first_order(g)
-    dth = risk_dth_order(g)
-    ref = directional_risk(g, mc_n, seed)
-    hierarchy_ok = (
-        dth.value <= first.value <= spectral.value
-        and ref.estimate <= dth.value + 5.0 * ref.ci_halfwidth
-    )
-    return ConservatismReport(
-        beta_r=ref,
-        spectral=spectral,
-        first_order=first,
-        dth_order=dth,
-        gamma_spectral=gamma_or_inf(spectral.value, ref.estimate),
-        gamma_first_order=gamma_or_inf(first.value, ref.estimate),
-        gamma_dth_order=gamma_or_inf(dth.value, ref.estimate),
-        hierarchy_ok=bool(hierarchy_ok),
-    )
+    gs = list(gs)
+    reports = []
+    for g, ref in zip(gs, directional_risks(gs, mc_n, seeds)):
+        estimates = _estimates(g)
+        values = [e.value for e in estimates.values()]
+        hierarchy_ok = bool(
+            all(a >= b for a, b in zip(values, values[1:]))
+            and ref.estimate <= values[-1] + 5.0 * ref.ci_halfwidth
+        )
+        gamma = {m: gamma_or_inf(e.value, ref.estimate) for m, e in estimates.items()}
+        reports.append(ConservatismReport(ref, estimates, gamma, hierarchy_ok))
+    return reports
+
+
+def hierarchy_report(g: GaussianVec, mc_n: int, seed: int) -> ConservatismReport:
+    """The report on one distribution; a batch of one of ``hierarchy_reports``."""
+    return hierarchy_reports([g], mc_n, [seed])[0]

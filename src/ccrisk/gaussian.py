@@ -32,9 +32,9 @@ class GaussianVec:
     Finiteness and positive definiteness are checked once at construction
     (fail fast, with the error pointing at the construction site); the
     Cholesky factor is kept for sampling. ``mean``, ``cov`` and ``chol`` are
-    read-only copies, so the quantities the estimators share (``radii``,
-    ``sqrt_lambda_max``, ``dth_order_risk``) are computed once, on first
-    use, and cached.
+    read-only copies, so the quantities the estimators share
+    (``mean_nonpositive``, ``radii``, ``sqrt_lambda_max``,
+    ``dth_order_risk``) are computed once, on first use, and cached.
     """
 
     mean: np.ndarray
@@ -57,6 +57,11 @@ class GaussianVec:
         for name, value in (("mean", mean), ("cov", cov), ("chol", _cholesky(cov))):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    @cached_property
+    def mean_nonpositive(self) -> bool:
+        """mean <= 0 in every component: the estimators' and reference's domain."""
+        return not np.any(self.mean > 0.0)
 
     @cached_property
     def radii(self) -> np.ndarray:

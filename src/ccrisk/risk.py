@@ -105,7 +105,7 @@ class McEstimate:
         }
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion.
 
     Behaves sensibly at extreme proportions (0 or n successes), unlike the
@@ -114,9 +114,9 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     if n < 1:
         raise ValueError("need at least one sample")
     phat = successes / n
-    denom = 1.0 + z * z / n
-    center = (phat + z * z / (2 * n)) / denom
-    half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
+    denom = 1.0 + _Z95 * _Z95 / n
+    center = (phat + _Z95 * _Z95 / (2 * n)) / denom
+    half = _Z95 * math.sqrt(phat * (1 - phat) / n + _Z95 * _Z95 / (4 * n * n)) / denom
     # center - half equals 0 (resp. center + half equals 1) analytically at
     # the extremes; round-off can land a hair on the wrong side of phat
     lo = 0.0 if successes == 0 else max(center - half, 0.0)
@@ -182,14 +182,14 @@ def risk_norm_spectral(u_mean, u_cov, u_max: float) -> RiskEstimate:
 
 def risk_spectral(g: GaussianVec) -> RiskEstimate:
     """Spectral-radius risk bound psi(min(-mean) / rho(cov), d)."""
-    if np.any(g.mean > 0.0):
+    if not g.mean_nonpositive:
         return RiskEstimate("spectral", None, defined=False)
     return RiskEstimate("spectral", special.psi(float(np.min(-g.mean)) / g.sqrt_lambda_max, g.dim))
 
 
 def risk_first_order(g: GaussianVec) -> RiskEstimate:
     """First-order risk bound psi(min r, d) from the standardized margins."""
-    if np.any(g.mean > 0.0):
+    if not g.mean_nonpositive:
         return RiskEstimate("first_order", None, defined=False)
     return RiskEstimate("first_order", special.psi(float(np.min(g.radii)), g.dim))
 
@@ -234,7 +234,7 @@ def dth_order_value(radii) -> float:
 def risk_dth_order(g: GaussianVec) -> RiskEstimate:
     """d-th-order risk bound; the tightest of the three multidimensional
     estimators (coincides with the others at d = 1)."""
-    if np.any(g.mean > 0.0):
+    if not g.mean_nonpositive:
         return RiskEstimate("dth_order", None, defined=False)
     return RiskEstimate("dth_order", g.dth_order_risk)
 
@@ -272,7 +272,7 @@ def directional_risks(gs, n: int, seeds) -> list[McEstimate]:
         raise ValueError(f"need one seed per distribution, got {len(seeds)} for {len(gs)}")
     if n < 1:
         raise ValueError("need at least one sample")
-    if any(np.any(g.mean > 0.0) for g in gs):
+    if not all(g.mean_nonpositive for g in gs):
         raise ValueError("directional simulation requires mean <= 0 componentwise")
     pairs = (int(n) + 1) // 2
     sizes = [min(_BLOCK, pairs - start) for start in range(0, pairs, _BLOCK)]

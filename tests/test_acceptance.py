@@ -104,8 +104,9 @@ def test_hierarchy_theorem_suite():
         d = int(rng.integers(1, 13))
         g = random_pd_gaussian(rng, d, radius_hi=3.5)
         report = hierarchy_report(g, 10**6, int(rng.integers(0, 2**63)))
-        chain = report.dth_order.value <= report.first_order.value <= report.spectral.value
-        mc_ok = report.beta_r.estimate <= report.dth_order.value + 5 * report.beta_r.ci_halfwidth
+        est = report.estimates
+        chain = est["dth_order"].value <= est["first_order"].value <= est["spectral"].value
+        mc_ok = report.beta_r.estimate <= est["dth_order"].value + 5 * report.beta_r.ci_halfwidth
         if not (chain and mc_ok and report.hierarchy_ok):
             ok = False
             break

@@ -270,6 +270,39 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("error: --seed") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--dims", "0"],
+            ["sweep", "--dims", "abc"],
+            ["sweep", "--dims", "5..3"],
+            ["sweep", "--n-dists", "0"],
+            ["sweep", "--beta", "2"],
+            ["sweep", "--beta", "nan"],
+            ["table2", "--target-state", "1,2"],
+            ["--mc-samples", "0", "table2"],
+            ["--mc-samples", "0", "sweep"],
+            ["--mc-samples", "-5", "--quick", "table1"],
+            ["--mc-samples", "0", "check", "--mc", "PAYLOAD"],
+            ["--mc-samples", "-5", "check", "--mc", "PAYLOAD"],
+        ],
+    )
+    def test_malformed_flag_usage_exit(self, argv, tmp_path, monkeypatch, capsys):
+        payload = tmp_path / "in.json"
+        payload.write_text(json.dumps({"mean": [-3.0, -2.0], "cov": np.eye(2).tolist(), "beta": 1e-3}))
+        argv = [str(payload) if a == "PAYLOAD" else a for a in argv]
+        for name in ("run_table1", "run_table2", "run_sweep", "run_check"):
+            monkeypatch.setattr(ccrisk.cli, name, pytest.fail)
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_mc_samples_zero_table1_is_risk_only(self, capsys):
+        assert main(["--mc-samples", "0", "--format", "json", "table1"]) == EXIT_OK
+        result = json.loads(capsys.readouterr().out)
+        assert result["mc_samples"] == 0
+        assert [r["method"] for r in result["rows"]] == ["norm_spectral", "nakka_chung", "first_order"]
+
     def test_unknown_flag_usage_exit(self):
         assert main(["sweep", "--no-such-flag"]) == EXIT_USAGE
 

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from ccrisk.conservatism import ConservatismReport, conservatism, hierarchy_report
+from ccrisk import risk
+from ccrisk.conservatism import ConservatismReport, conservatism, hierarchy_report, hierarchy_reports
 from ccrisk.gaussian import GaussianVec
 
 from conftest import random_pd_gaussian
@@ -50,13 +51,14 @@ class TestHierarchyReport:
     def test_example_ordering(self, example_2d):
         report = hierarchy_report(example_2d, 10**6, 0)
         assert report.hierarchy_ok
-        assert report.dth_order.value <= report.first_order.value <= report.spectral.value
-        assert 1.0 <= report.gamma_dth_order <= report.gamma_first_order <= report.gamma_spectral
+        est, gamma = report.estimates, report.gamma
+        assert est["dth_order"].value <= est["first_order"].value <= est["spectral"].value
+        assert 1.0 <= gamma["dth_order"] <= gamma["first_order"] <= gamma["spectral"]
 
     def test_scalar_coincidence(self):
         g = GaussianVec([-1.5], [[1.0]])
         report = hierarchy_report(g, 10**5, 1)
-        assert report.gamma_spectral == report.gamma_first_order == report.gamma_dth_order
+        assert report.gamma["spectral"] == report.gamma["first_order"] == report.gamma["dth_order"]
 
     def test_random_instances_all_ok(self):
         rng = np.random.default_rng(100)
@@ -74,3 +76,49 @@ class TestHierarchyReport:
         assert payload["hierarchy_ok"] is True
         assert set(payload["gamma"]) == {"spectral", "first_order", "dth_order"}
         assert payload["beta_r"]["n_samples"] == 10**4
+
+
+class TestHierarchyReports:
+    N = 10**4
+    SEEDS = [101, 102, 103, 104]
+
+    @staticmethod
+    def mixed_batch():
+        rng = np.random.default_rng(31)
+        return [random_pd_gaussian(rng, d) for d in (1, 2, 6, 25)]
+
+    def test_batch_equals_single_reports(self):
+        gs = self.mixed_batch()
+        batch = [r.to_dict() for r in hierarchy_reports(gs, self.N, self.SEEDS)]
+        assert batch == [hierarchy_report(g, self.N, s).to_dict() for g, s in zip(gs, self.SEEDS)]
+
+    def test_shuffled_batch_gives_the_same_reports(self):
+        gs = self.mixed_batch()
+        expected = [r.to_dict() for r in hierarchy_reports(gs, self.N, self.SEEDS)]
+        perm = [2, 0, 3, 1]
+        shuffled = hierarchy_reports([gs[i] for i in perm], self.N, [self.SEEDS[i] for i in perm])
+        assert [r.to_dict() for r in shuffled] == [expected[i] for i in perm]
+
+    def test_positive_mean_rejected_before_any_block(self, monkeypatch):
+        calls = []
+        block = risk._directional_block
+
+        def counted(task):
+            calls.append(task)
+            return block(task)
+
+        monkeypatch.setattr(risk, "_directional_block", counted)
+        gs = self.mixed_batch()
+        hierarchy_reports(gs[:1], 10, self.SEEDS[:1])
+        assert len(calls) == 1
+        calls.clear()
+        gs[-1] = GaussianVec([-1.0, 0.5], np.eye(2))
+        with pytest.raises(ValueError, match="mean <= 0"):
+            hierarchy_reports(gs, self.N, self.SEEDS)
+        assert calls == []
+
+    def test_to_dict_key_order(self, example_2d):
+        payload = hierarchy_report(example_2d, 10**3, 0).to_dict()
+        assert list(payload) == ["beta_r", "estimates", "gamma", "hierarchy_ok"]
+        assert list(payload["estimates"]) == list(payload["gamma"]) == ["spectral", "first_order", "dth_order"]
+        assert [e["method"] for e in payload["estimates"].values()] == list(payload["estimates"])

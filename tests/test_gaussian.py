@@ -73,6 +73,15 @@ class TestGaussianVec:
         for name in ("radii", "sqrt_lambda_max", "dth_order_risk"):
             assert getattr(example_2d, name) is getattr(example_2d, name)
 
+    @pytest.mark.parametrize(
+        "mean, expected", [([-1.0, -2.0], True), ([0.0, -1.0], True), ([0.0, 0.0], True), ([-1.0, 1e-300], False)]
+    )
+    def test_mean_nonpositive(self, mean, expected):
+        g = GaussianVec(mean, np.eye(2))
+        assert g.mean_nonpositive is expected
+        with pytest.raises(AttributeError):
+            g.mean_nonpositive = not expected
+
     def test_json_round_trip(self, example_2d):
         back = GaussianVec.from_json(example_2d.to_json())
         assert np.array_equal(back.mean, example_2d.mean)
