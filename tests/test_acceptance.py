@@ -11,8 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from ccrisk.cli import SweepConfig, run_sweep, sweep_csv
+from ccrisk.cli import sweep_csv
 from ccrisk.conservatism import conservatism, hierarchy_report
+from ccrisk.experiments import run_sweep
 from ccrisk.fixtures import DEFAULT_FIXTURE, DEFAULT_TARGET_STATE, box_constraint_distribution
 from ccrisk.gaussian import GaussianVec
 from ccrisk.risk import (
@@ -160,10 +161,10 @@ def test_sector_lemma_oracle():
 
 def test_fig4_sweep_quick():
     start = time.time()
-    cfg = SweepConfig(dims=(1, 5, 10, 15, 20, 25), n_dists=100, mc_samples=10**5, seed=0, quick=True)
-    rows = run_sweep(cfg)
+    dims = (1, 5, 10, 15, 20, 25)
+    rows = run_sweep(dims, n_dists=100, beta=1e-3, mc_samples=10**5, seed=0)
     med = {(r["dim"], r["method"]): r["median"] for r in rows}
-    ok = all(med[(d, "dth_order")] < 10 for d in cfg.dims)
+    ok = all(med[(d, "dth_order")] < 10 for d in dims)
     ratio_rho = med[(25, "spectral")] / med[(25, "dth_order")]
     ratio_1 = med[(25, "first_order")] / med[(25, "dth_order")]
     ok = ok and ratio_rho > 100 and ratio_1 > 100
@@ -172,7 +173,7 @@ def test_fig4_sweep_quick():
     _report(
         "fig4-sweep-quick",
         ok,
-        "median gamma_d " + "/".join(f"{med[(d, 'dth_order')]:.2g}" for d in cfg.dims)
+        "median gamma_d " + "/".join(f"{med[(d, 'dth_order')]:.2g}" for d in dims)
         + f", d=25 ratios rho={ratio_rho:.3g} first={ratio_1:.3g}, {elapsed:.0f}s",
     )
 
@@ -199,8 +200,8 @@ def test_special_function_accuracy():
 
 
 def test_sweep_determinism():
-    cfg = dict(dims=(2, 4), n_dists=10, mc_samples=20000, seed=11)
-    a = sweep_csv(run_sweep(SweepConfig(**cfg)))
-    b = sweep_csv(run_sweep(SweepConfig(**cfg)))
+    cfg = dict(dims=(2, 4), n_dists=10, beta=1e-3, mc_samples=20000, seed=11)
+    a = sweep_csv(run_sweep(**cfg))
+    b = sweep_csv(run_sweep(**cfg))
     ok = a == b and len(a) > 0
     _report("sweep-determinism", ok, f"{len(a)} bytes, byte-identical={a == b}")

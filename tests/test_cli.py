@@ -9,26 +9,13 @@ import numpy as np
 import pytest
 
 import ccrisk.cli
-from ccrisk.cli import (
-    EXIT_DOMAIN,
-    EXIT_OK,
-    EXIT_USAGE,
-    SWEEP_CSV_COLUMNS,
-    SweepConfig,
-    _box_stats,
-    _parse_dims,
-    main,
-    run_check,
-    run_sweep,
-    run_table1,
-    run_table2,
-    sweep_csv,
-)
+from ccrisk.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, SWEEP_CSV_COLUMNS, _parse_dims, main, sweep_csv
+from ccrisk.experiments import _box_stats, run_check, run_sweep, run_table1, run_table2
 from ccrisk.fixtures import DEFAULT_FIXTURE
 from ccrisk.gaussian import GaussianVec
 from ccrisk.transcription import METHODS
 
-SMALL_SWEEP = dict(dims=(1, 2), n_dists=3, mc_samples=2000, seed=7)
+SMALL_SWEEP = dict(dims=(1, 2), n_dists=3, beta=1e-3, mc_samples=2000, seed=7)
 
 
 def parse_csv(text):
@@ -46,7 +33,7 @@ class TestParseDims:
 
 class TestSweep:
     def test_csv_schema(self):
-        rows = run_sweep(SweepConfig(**SMALL_SWEEP))
+        rows = run_sweep(**SMALL_SWEEP)
         text = sweep_csv(rows)
         records = parse_csv(text)
         assert text.splitlines()[0] == ",".join(SWEEP_CSV_COLUMNS)
@@ -54,38 +41,32 @@ class TestSweep:
         assert {r["method"] for r in records} == {"spectral", "first_order", "dth_order"}
 
     def test_deterministic(self):
-        a = sweep_csv(run_sweep(SweepConfig(**SMALL_SWEEP)))
-        b = sweep_csv(run_sweep(SweepConfig(**SMALL_SWEEP)))
+        a = sweep_csv(run_sweep(**SMALL_SWEEP))
+        b = sweep_csv(run_sweep(**SMALL_SWEEP))
         assert a == b
 
     def test_seed_changes_output(self):
-        a = sweep_csv(run_sweep(SweepConfig(**SMALL_SWEEP)))
-        b = sweep_csv(run_sweep(SweepConfig(**{**SMALL_SWEEP, "seed": 8})))
+        a = sweep_csv(run_sweep(**SMALL_SWEEP))
+        b = sweep_csv(run_sweep(**{**SMALL_SWEEP, "seed": 8}))
         assert a != b
 
     def test_d1_methods_coincide(self):
-        rows = [r for r in run_sweep(SweepConfig(**SMALL_SWEEP)) if r["dim"] == 1]
+        rows = [r for r in run_sweep(**SMALL_SWEEP) if r["dim"] == 1]
         medians = {r["method"]: r["median"] for r in rows}
         assert medians["spectral"] == medians["first_order"] == medians["dth_order"]
 
     def test_d1_gamma_is_two(self):
         # psi(r, 1) = 2 Phi(-r) is twice the one-sided risk Phi(-r), which
         # the reference gives exactly, even from a single antithetic pair
-        rows = run_sweep(SweepConfig(dims=(1,), n_dists=20, mc_samples=2, seed=0))
+        rows = run_sweep(dims=(1,), n_dists=20, beta=1e-3, mc_samples=2, seed=0)
         for row in rows:
             assert row["median"] == pytest.approx(2.0, rel=1e-4)
 
-    def test_quick_caps_n_dists(self):
-        cfg = SweepConfig(dims=(1,), n_dists=500, quick=True)
-        assert cfg.n_dists == 100
-
-    def test_invalid_config(self):
-        with pytest.raises(ValueError):
-            SweepConfig(dims=())
-        with pytest.raises(ValueError):
-            SweepConfig(dims=(0,))
-        with pytest.raises(ValueError):
-            SweepConfig(dims=(2,), n_dists=0)
+    def test_quick_caps_n_dists(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(ccrisk.cli, "run_sweep", lambda dims, n_dists, *rest: seen.append(n_dists) or [])
+        assert main(["--quick", "sweep", "--dims", "1", "--n-dists", "500"]) == EXIT_OK
+        assert seen == [100]
 
 
 class TestTable1:
@@ -285,12 +266,20 @@ class TestMainEntry:
             ["--mc-samples", "-5", "--quick", "table1"],
             ["--mc-samples", "0", "check", "--mc", "PAYLOAD"],
             ["--mc-samples", "-5", "check", "--mc", "PAYLOAD"],
+            ["sweep", "--dims", ","],
+            ["sweep", "--dims", "1,1"],
+            ["sweep", "--dims", "1..3,2"],
+            ["check", "NODIR"],
+            ["--out", "NODIR", "sweep"],
+            ["sweep", "--emit-plot-data", "NODIR"],
         ],
     )
     def test_malformed_flag_usage_exit(self, argv, tmp_path, monkeypatch, capsys):
         payload = tmp_path / "in.json"
         payload.write_text(json.dumps({"mean": [-3.0, -2.0], "cov": np.eye(2).tolist(), "beta": 1e-3}))
-        argv = [str(payload) if a == "PAYLOAD" else a for a in argv]
+        # NODIR is a path in a directory that does not exist
+        paths = {"PAYLOAD": str(payload), "NODIR": str(tmp_path / "missing" / "x.json")}
+        argv = [paths.get(a, a) for a in argv]
         for name in ("run_table1", "run_table2", "run_sweep", "run_check"):
             monkeypatch.setattr(ccrisk.cli, name, pytest.fail)
         assert main(argv) == EXIT_USAGE
@@ -320,7 +309,7 @@ class TestMainEntry:
         assert {r["statistic"] for r in records} == {"median", "q1", "q3", "whisker_lo", "whisker_hi"}
 
     def test_uncaught_error_one_line_domain_exit(self, monkeypatch, capsys):
-        def boom(cfg):
+        def boom(*args):
             raise RuntimeError("worker failed")
 
         monkeypatch.setattr(ccrisk.cli, "run_sweep", boom)
@@ -328,7 +317,7 @@ class TestMainEntry:
         assert capsys.readouterr().err == "error: worker failed\n"
 
     def test_keyboard_interrupt_propagates(self, monkeypatch):
-        def interrupt(cfg):
+        def interrupt(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(ccrisk.cli, "run_sweep", interrupt)
