@@ -9,8 +9,10 @@
   distributions, emitting boxplot statistics per (dimension, method).
 - ``check``: transcribe and risk-check a user-supplied Gaussian constraint.
 
-The experiments themselves live in ``ccrisk.experiments``. Exit codes: 0 ok;
-2 for a malformed flag value, a missing input file or output directory, or
+The experiments themselves live in ``ccrisk.experiments``; this module
+alone decides how their results are printed (the CSV and JSON shapes) and
+how a run exits. Exit codes: 0 ok; 2 for a malformed flag value, a missing
+input file, an output path that is a directory or lies in a missing one, or
 malformed ``check`` input, rejected before any work starts; 1 when an
 estimator is undefined for the ``check`` input, or for any other uncaught
 error. Each error prints one ``error:`` line.
@@ -20,15 +22,20 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import math
 import sys
 from pathlib import Path
 
-from .experiments import EXIT_DOMAIN, EXIT_OK, run_check, run_sweep, run_table1, run_table2
+import numpy as np
+
+from .experiments import run_check, run_sweep, run_table1, run_table2
 from .fixtures import DEFAULT_FIXTURE
 
+EXIT_OK = 0
+EXIT_DOMAIN = 1
 EXIT_USAGE = 2
 
 SWEEP_CSV_COLUMNS = [
@@ -110,9 +117,16 @@ def sweep_plot_data(rows: list[dict]) -> str:
 
 
 def _dump_json(obj) -> str:
+    """JSON text of a record: a result dataclass as an object of its fields
+    in declaration order, an array as a list, and +-inf as "inf"."""
+
     def clean(o):
         if isinstance(o, float) and math.isinf(o):
             return "inf"
+        if dataclasses.is_dataclass(o):
+            o = {f.name: getattr(o, f.name) for f in dataclasses.fields(o)}
+        elif isinstance(o, np.ndarray):
+            o = o.tolist()
         if isinstance(o, dict):
             return {k: clean(v) for k, v in o.items()}
         if isinstance(o, (list, tuple)):
@@ -138,9 +152,9 @@ def _parse_dims(text: str) -> tuple:
     """Dimensions from a comma-separated list of dimensions and ranges lo..hi."""
     dims = []
     for part in filter(None, map(str.strip, text.split(","))):
-        lo, _, hi = part.partition("..")
+        lo, sep, hi = part.partition("..")
         try:
-            span = range(int(lo), int(hi or lo) + 1)
+            span = range(int(lo), int(hi if sep else lo) + 1)
         except ValueError:
             span = range(0)
         if not span:
@@ -230,10 +244,12 @@ def _resolve_flags(args) -> None:
             raise ValueError(f"beta must lie strictly in (0, 1), got {args.beta}")
         if args.quick:
             args.n_dists = min(args.n_dists, 100)
-    # a missing directory would only show once the run is done
+    # an unwritable path would only show once the run is done
     for flag, path in (("--out", args.out), ("--emit-plot-data", getattr(args, "emit_plot_data", None))):
         if path and not Path(path).parent.is_dir():
             raise ValueError(f"{flag}: no directory for {path!r}")
+        if path and Path(path).is_dir():
+            raise ValueError(f"{flag}: {path!r} is a directory")
     if args.command == "check":
         try:
             raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()
@@ -256,9 +272,10 @@ def main(argv=None) -> int:
     try:
         _resolve_flags(args)
         if args.command == "check":
-            report, code = run_check(args.payload, args.mc_samples, args.seed)
+            report = run_check(args.payload, args.mc_samples, args.seed)
             _write_output(_dump_json(report), args.out)
-            return code
+            # a requested estimator undefined for the input, e.g. at a positive mean component
+            return EXIT_DOMAIN if any(not e.defined for e in report["risk_estimates"]) else EXIT_OK
         usage_errors = ()
         if args.command == "sweep":
             rows = run_sweep(args.dims, args.n_dists, args.beta, args.mc_samples, args.seed)

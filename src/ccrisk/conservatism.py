@@ -55,14 +55,6 @@ class ConservatismReport:
     gamma: dict[str, Optional[float]]
     hierarchy_ok: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "beta_r": self.beta_r.to_dict(),
-            "estimates": {m: e.to_dict() for m, e in self.estimates.items()},
-            "gamma": {m: "inf" if math.isinf(x) else x for m, x in self.gamma.items()},
-            "hierarchy_ok": self.hierarchy_ok,
-        }
-
 
 def gamma_or_inf(beta_t: float, beta_r: float) -> Optional[float]:
     """Conservatism of beta_t against a reference that may read 0 or 1.

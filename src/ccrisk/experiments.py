@@ -1,6 +1,7 @@
 """The paper's experiments (``run_table1``, ``run_table2`` and the Fig. 4
 conservatism sweep ``run_sweep``) and ``run_check``, as functions that
-return plain records; ``ccrisk.cli`` parses the flags and formats them.
+return records of plain values and result objects; ``ccrisk.cli`` parses
+the flags, formats the records and picks the exit code.
 
 All randomness is seeded, so identical arguments give identical records.
 Risks are probabilities in [0, 1]; only the CLI's tables print percentages.
@@ -27,9 +28,6 @@ from .linalg import NotPositiveDefiniteError
 from .risk import directional_risk, risk_first_order, risk_nakka_chung, risk_norm_spectral
 from .special import psi_inv
 from .transcription import METHODS
-
-EXIT_OK = 0
-EXIT_DOMAIN = 1
 
 
 # ---------------------------------------------------------------------------
@@ -208,26 +206,25 @@ def run_table2(
 # Generic check mode
 # ---------------------------------------------------------------------------
 
-def run_check(
-    payload: dict,
-    mc_samples: int = 0,
-    seed: int = 0,
-) -> tuple[dict, int]:
+def run_check(payload: dict, mc_samples: int = 0, seed: int = 0) -> dict:
     """Transcribe and risk-check one user-supplied constraint.
 
-    Returns (report, exit_code): exit 1 when a requested risk estimator is
-    undefined for the input (e.g. a positive mean component), 0 otherwise.
-    Parse errors raise ValueError and are mapped to exit 2 by the CLI.
+    Returns the report: ``beta``, the ``TranscriptionVerdict`` and
+    ``RiskEstimate`` of each requested method, and with ``mc_samples`` > 0
+    the ``ConservatismReport`` (None when a mean component is positive).
+    An estimate undefined for the input is reported, not raised; malformed
+    input raises ValueError.
     """
     if not isinstance(payload, dict):
         raise ValueError("input must be a JSON object")
     g = GaussianVec.from_dict(payload)
     if "beta" not in payload:
         raise ValueError('missing "beta"')
-    try:
-        beta = float(payload["beta"])
-    except TypeError:
-        raise ValueError(f'"beta" must be a number, got {payload["beta"]!r}') from None
+    beta = payload["beta"]
+    # float() would take a numeric string or a bool as well
+    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
+        raise ValueError(f'"beta" must be a number, got {beta!r}')
+    beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
     # the default is the three multidimensional methods
@@ -244,12 +241,7 @@ def run_check(
         verdicts.append(transcribe(g, beta))
         estimates.append(risk(g))
 
-    report = {
-        "beta": beta,
-        "verdicts": [v.to_dict() for v in verdicts],
-        "risk_estimates": [e.to_dict() for e in estimates],
-    }
+    report = {"beta": beta, "verdicts": verdicts, "risk_estimates": estimates}
     if mc_samples > 0:
-        report["conservatism"] = hierarchy_report(g, mc_samples, seed).to_dict() if g.mean_nonpositive else None
-    code = EXIT_DOMAIN if any(not e.defined for e in estimates) else EXIT_OK
-    return report, code
+        report["conservatism"] = hierarchy_report(g, mc_samples, seed) if g.mean_nonpositive else None
+    return report

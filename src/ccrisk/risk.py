@@ -66,9 +66,6 @@ class RiskEstimate:
         elif self.value is not None:
             raise ValueError("undefined estimate must not carry a value")
 
-    def to_dict(self) -> dict:
-        return {"method": self.method, "value": self.value, "defined": self.defined}
-
 
 @dataclass(frozen=True)
 class McEstimate:
@@ -93,16 +90,6 @@ class McEstimate:
     @property
     def ci_halfwidth(self) -> float:
         return 0.5 * (self.ci_high - self.ci_low)
-
-    def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "estimator": self.estimator,
-        }
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:

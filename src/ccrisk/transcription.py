@@ -49,14 +49,6 @@ class TranscriptionVerdict:
     margins: np.ndarray
     satisfied: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "beta": self.beta,
-            "margins": np.asarray(self.margins).tolist(),
-            "satisfied": bool(self.satisfied),
-        }
-
 
 def _check_beta(beta: float) -> float:
     beta = float(beta)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ccrisk.cli
-from ccrisk.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, SWEEP_CSV_COLUMNS, _parse_dims, main, sweep_csv
+from ccrisk.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, SWEEP_CSV_COLUMNS, _dump_json, _parse_dims, main, sweep_csv
 from ccrisk.experiments import _box_stats, run_check, run_sweep, run_table1, run_table2
 from ccrisk.fixtures import DEFAULT_FIXTURE
 from ccrisk.gaussian import GaussianVec
@@ -20,6 +20,20 @@ SMALL_SWEEP = dict(dims=(1, 2), n_dists=3, beta=1e-3, mc_samples=2000, seed=7)
 
 def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+@pytest.fixture
+def check_cli(tmp_path, capsys):
+    """Run ``ccrisk [flags] check [--mc] FILE`` on a payload; return the
+    printed report, parsed, and the exit code."""
+
+    def run(payload, *flags, mc=False):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(payload))
+        code = main([*flags, "check", *(["--mc"] if mc else []), str(path)])
+        return json.loads(capsys.readouterr().out), code
+
+    return run
 
 
 class TestParseDims:
@@ -101,32 +115,32 @@ class TestTable2:
 
 
 class TestCheck:
-    def test_unsatisfied_first_order(self, example_2d):
+    def test_unsatisfied_first_order(self, example_2d, check_cli):
         payload = json.loads(example_2d.to_json())
         payload.update(beta=1e-3, methods=["first_order"])
-        report, code = run_check(payload)
+        report, code = check_cli(payload)
         assert code == EXIT_OK
         assert report["verdicts"][0]["satisfied"] is False
         assert report["risk_estimates"][0]["value"] == pytest.approx(0.6065, abs=1e-3)
 
-    def test_safe_scalar_default_methods(self):
+    def test_safe_scalar_default_methods(self, check_cli):
         payload = {"mean": [-5.0], "cov": [[1.0]], "beta": 1e-3}
-        report, code = run_check(payload)
+        report, code = check_cli(payload)
         assert code == EXIT_OK
         assert all(v["satisfied"] for v in report["verdicts"])
 
-    def test_scalar_baselines_differ_in_conservatism(self):
+    def test_scalar_baselines_differ_in_conservatism(self, check_cli):
         # at five sigma the exact scalar bound accepts beta = 1e-3 but the
         # distribution-free bound needs a 31.6-sigma backoff and rejects it
         payload = {"mean": [-5.0], "cov": [[1.0]], "beta": 1e-3, "methods": ["linear_1d", "nakka_chung"]}
-        report, code = run_check(payload)
+        report, code = check_cli(payload)
         assert code == EXIT_OK
         by_method = {v["method"]: v["satisfied"] for v in report["verdicts"]}
         assert by_method == {"linear_1d": True, "nakka_chung": False}
 
-    def test_positive_mean_domain_exit(self):
+    def test_positive_mean_domain_exit(self, check_cli):
         payload = {"mean": [1.0, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "beta": 0.1}
-        report, code = run_check(payload)
+        report, code = check_cli(payload)
         assert code == EXIT_DOMAIN
         assert any(not e["defined"] for e in report["risk_estimates"])
 
@@ -141,7 +155,7 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("beta", ["null", "[0.1]", '{"value": 0.1}'])
+    @pytest.mark.parametrize("beta", ["null", "[0.1]", '{"value": 0.1}', '"0.01"', '"abc"', "true"])
     def test_non_numeric_beta_usage_exit(self, beta, tmp_path, capsys):
         bad = tmp_path / "beta.json"
         bad.write_text('{"mean": [-1], "cov": [[1]], "beta": %s}' % beta)
@@ -162,9 +176,22 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: unknown method ") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("key", ["mean", "cov"])
-    def test_object_valued_array_usage_exit(self, key, tmp_path, capsys):
-        payload = {"mean": [-1], "cov": [[1]], "beta": 0.1, key: {"a": 1}}
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("mean", {"a": 1}),
+            ("cov", {"a": 1}),
+            # numpy would read these as numbers
+            ("mean", "-3"),
+            ("mean", ["-3"]),
+            ("mean", [True]),
+            ("cov", [["1"]]),
+            ("cov", [[True]]),
+        ],
+        ids=["mean", "cov", "mean-string", "mean-string-entry", "mean-bool-entry", "cov-string-entry", "cov-bool-entry"],
+    )
+    def test_object_valued_array_usage_exit(self, key, value, tmp_path, capsys):
+        payload = {"mean": [-1], "cov": [[1]], "beta": 0.1, key: value}
         bad = tmp_path / "object.json"
         bad.write_text(json.dumps(payload))
         assert main(["check", str(bad)]) == EXIT_USAGE
@@ -176,15 +203,31 @@ class TestCheck:
         [([-1.5], [[0.4]]), ([0.2], [[1.0]]), ([-1.0, -2.0, -0.5], np.eye(3) + 0.2)],
         ids=["d1", "d1-positive-mean", "d3"],
     )
-    def test_each_method_matches_direct_call(self, mean, cov):
+    def test_each_method_matches_direct_call(self, mean, cov, check_cli):
         g = GaussianVec(mean, cov)
         for method, (transcribe, risk) in METHODS.items():
             if g.dim != 1 and method in ("linear_1d", "nakka_chung"):
                 continue
             payload = {"mean": mean, "cov": np.asarray(cov).tolist(), "beta": 0.05, "methods": [method.value]}
-            report, _ = run_check(payload)
-            assert report["verdicts"] == [transcribe(g, 0.05).to_dict()]
-            assert report["risk_estimates"] == [risk(g).to_dict()]
+            report, _ = check_cli(payload)
+            assert report["verdicts"] == json.loads(_dump_json([transcribe(g, 0.05)]))
+            assert report["risk_estimates"] == json.loads(_dump_json([risk(g)]))
+
+    def test_mc_report_layout(self, check_cli):
+        # deep in the tail the reference reads 0: the spectral estimate still
+        # resolves (gamma inf) while the other two underflow to 0 (gamma 0)
+        payload = {"mean": [-40.0, -39.0], "cov": [[1.0, 0.9], [0.9, 1.0]], "beta": 1e-3}
+        report, code = check_cli(payload, "--mc-samples", "2000", mc=True)
+        assert code == EXIT_OK
+        assert list(report) == ["beta", "verdicts", "risk_estimates", "conservatism"]
+        assert all(list(v) == ["method", "beta", "margins", "satisfied"] for v in report["verdicts"])
+        assert all(list(e) == ["method", "value", "defined"] for e in report["risk_estimates"])
+        conservatism = report["conservatism"]
+        assert list(conservatism) == ["beta_r", "estimates", "gamma", "hierarchy_ok"]
+        assert list(conservatism["beta_r"]) == ["estimate", "ci_low", "ci_high", "n_samples", "seed", "estimator"]
+        assert list(conservatism["estimates"]) == ["spectral", "first_order", "dth_order"]
+        assert all(list(e) == ["method", "value", "defined"] for e in conservatism["estimates"].values())
+        assert conservatism["gamma"] == {"spectral": "inf", "first_order": 0.0, "dth_order": 0.0}
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -272,13 +315,16 @@ class TestMainEntry:
             ["check", "NODIR"],
             ["--out", "NODIR", "sweep"],
             ["sweep", "--emit-plot-data", "NODIR"],
+            ["sweep", "--dims", "1.."],
+            ["--out", "DIR", "sweep"],
+            ["sweep", "--emit-plot-data", "DIR"],
         ],
     )
     def test_malformed_flag_usage_exit(self, argv, tmp_path, monkeypatch, capsys):
         payload = tmp_path / "in.json"
         payload.write_text(json.dumps({"mean": [-3.0, -2.0], "cov": np.eye(2).tolist(), "beta": 1e-3}))
-        # NODIR is a path in a directory that does not exist
-        paths = {"PAYLOAD": str(payload), "NODIR": str(tmp_path / "missing" / "x.json")}
+        # NODIR is a path in a directory that does not exist, DIR an existing directory
+        paths = {"PAYLOAD": str(payload), "NODIR": str(tmp_path / "missing" / "x.json"), "DIR": str(tmp_path)}
         argv = [paths.get(a, a) for a in argv]
         for name in ("run_table1", "run_table2", "run_sweep", "run_check"):
             monkeypatch.setattr(ccrisk.cli, name, pytest.fail)

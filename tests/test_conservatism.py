@@ -1,11 +1,13 @@
 """Conservatism metric and the hierarchy report."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from ccrisk import risk
+from ccrisk.cli import _dump_json
 from ccrisk.conservatism import ConservatismReport, conservatism, hierarchy_report, hierarchy_reports
 from ccrisk.gaussian import GaussianVec
 
@@ -72,7 +74,7 @@ class TestHierarchyReport:
             hierarchy_report(GaussianVec([0.5, -1.0], np.eye(2)), 10**3, 0)
 
     def test_serialization(self, example_2d):
-        payload = hierarchy_report(example_2d, 10**4, 0).to_dict()
+        payload = json.loads(_dump_json(hierarchy_report(example_2d, 10**4, 0)))
         assert payload["hierarchy_ok"] is True
         assert set(payload["gamma"]) == {"spectral", "first_order", "dth_order"}
         assert payload["beta_r"]["n_samples"] == 10**4
@@ -89,15 +91,15 @@ class TestHierarchyReports:
 
     def test_batch_equals_single_reports(self):
         gs = self.mixed_batch()
-        batch = [r.to_dict() for r in hierarchy_reports(gs, self.N, self.SEEDS)]
-        assert batch == [hierarchy_report(g, self.N, s).to_dict() for g, s in zip(gs, self.SEEDS)]
+        batch = [_dump_json(r) for r in hierarchy_reports(gs, self.N, self.SEEDS)]
+        assert batch == [_dump_json(hierarchy_report(g, self.N, s)) for g, s in zip(gs, self.SEEDS)]
 
     def test_shuffled_batch_gives_the_same_reports(self):
         gs = self.mixed_batch()
-        expected = [r.to_dict() for r in hierarchy_reports(gs, self.N, self.SEEDS)]
+        expected = [_dump_json(r) for r in hierarchy_reports(gs, self.N, self.SEEDS)]
         perm = [2, 0, 3, 1]
         shuffled = hierarchy_reports([gs[i] for i in perm], self.N, [self.SEEDS[i] for i in perm])
-        assert [r.to_dict() for r in shuffled] == [expected[i] for i in perm]
+        assert [_dump_json(r) for r in shuffled] == [expected[i] for i in perm]
 
     def test_positive_mean_rejected_before_any_block(self, monkeypatch):
         calls = []
@@ -117,8 +119,8 @@ class TestHierarchyReports:
             hierarchy_reports(gs, self.N, self.SEEDS)
         assert calls == []
 
-    def test_to_dict_key_order(self, example_2d):
-        payload = hierarchy_report(example_2d, 10**3, 0).to_dict()
+    def test_json_key_order(self, example_2d):
+        payload = json.loads(_dump_json(hierarchy_report(example_2d, 10**3, 0)))
         assert list(payload) == ["beta_r", "estimates", "gamma", "hierarchy_ok"]
         assert list(payload["estimates"]) == list(payload["gamma"]) == ["spectral", "first_order", "dth_order"]
         assert [e["method"] for e in payload["estimates"].values()] == list(payload["estimates"])

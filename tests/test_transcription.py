@@ -1,6 +1,7 @@
 """Transcription methods: scalar baseline bounds, the three multidimensional
 methods, tightness at the matching risk level, and the dominance chain."""
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccrisk.cli import _dump_json
 from ccrisk.gaussian import GaussianVec, sample
 from ccrisk.risk import (
     mc_risk,
@@ -217,7 +219,7 @@ class TestMethodInterplay:
 
     def test_verdict_serialization(self, example_2d):
         verdict = transcribe_first_order(example_2d, 0.1)
-        payload = verdict.to_dict()
+        payload = json.loads(_dump_json(verdict))
         assert payload["method"] == "first_order"
         assert payload["satisfied"] is False
         assert len(payload["margins"]) == 2
