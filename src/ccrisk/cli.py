@@ -12,10 +12,11 @@
 The experiments themselves live in ``ccrisk.experiments``; this module
 alone decides how their results are printed (the CSV and JSON shapes) and
 how a run exits. Exit codes: 0 ok; 2 for a malformed flag value, a missing
-input file, an output path that is a directory or lies in a missing one, or
-malformed ``check`` input, rejected before any work starts; 1 when an
-estimator is undefined for the ``check`` input, or for any other uncaught
-error. Each error prints one ``error:`` line.
+input file, an output path that is a directory or lies in a missing one,
+``--out`` and ``--emit-plot-data`` naming one file, or malformed ``check``
+input, rejected before any work starts; 1 when an estimator is undefined for
+the ``check`` input, or for any other uncaught error. Each error prints one
+``error:`` line.
 """
 
 from __future__ import annotations
@@ -245,11 +246,15 @@ def _resolve_flags(args) -> None:
         if args.quick:
             args.n_dists = min(args.n_dists, 100)
     # an unwritable path would only show once the run is done
-    for flag, path in (("--out", args.out), ("--emit-plot-data", getattr(args, "emit_plot_data", None))):
+    out, plot = args.out, getattr(args, "emit_plot_data", None)
+    for flag, path in (("--out", out), ("--emit-plot-data", plot)):
         if path and not Path(path).parent.is_dir():
             raise ValueError(f"{flag}: no directory for {path!r}")
         if path and Path(path).is_dir():
             raise ValueError(f"{flag}: {path!r} is a directory")
+    # the plot data would overwrite the sweep's CSV
+    if out and plot and Path(out).resolve() == Path(plot).resolve():
+        raise ValueError(f"--out and --emit-plot-data name the same file {out!r}")
     if args.command == "check":
         try:
             raw = sys.stdin.read() if args.input == "-" else Path(args.input).read_text()

@@ -221,10 +221,14 @@ def run_check(payload: dict, mc_samples: int = 0, seed: int = 0) -> dict:
     if "beta" not in payload:
         raise ValueError('missing "beta"')
     beta = payload["beta"]
-    # float() would take a numeric string or a bool as well
-    if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-        raise ValueError(f'"beta" must be a number, got {beta!r}')
-    beta = float(beta)
+    try:
+        # float() would take a numeric string or a bool as well
+        if isinstance(beta, bool) or not isinstance(beta, (int, float)):
+            raise TypeError
+        beta = float(beta)
+    except (TypeError, OverflowError):
+        # OverflowError: an integer too large for a double
+        raise ValueError(f'"beta" must be a number, got {beta!r}') from None
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
     # the default is the three multidimensional methods

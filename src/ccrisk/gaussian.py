@@ -1,14 +1,12 @@
 """Gaussian models of constraint outputs.
 
 A constraint output y is modeled as y ~ N(mean, cov). This module builds
-that distribution from linearized constraints with state feedback, computes
-the signed standardized margins used by the risk estimators, and draws
-reproducible samples.
+that distribution from linearized constraints with state feedback and
+computes the signed standardized margins used by the risk estimators.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,7 +19,6 @@ __all__ = [
     "LinearConstraintModel",
     "constraint_distribution",
     "linearized_norm_constraint",
-    "sample",
 ]
 
 
@@ -104,9 +101,6 @@ class GaussianVec:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def to_json(self) -> str:
-        return json.dumps({"mean": self.mean.tolist(), "cov": self.cov.tolist()})
-
     @classmethod
     def from_dict(cls, obj: dict) -> "GaussianVec":
         if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
@@ -117,13 +111,10 @@ class GaussianVec:
                 if _holds_str_or_bool(obj[key]):
                     raise TypeError
                 arrays.append(np.asarray(obj[key], dtype=float))
-            except TypeError:
+            except (TypeError, OverflowError):
+                # OverflowError: an integer too large for a double
                 raise ValueError(f'"{key}" must be an array of numbers, got {obj[key]!r}') from None
         return cls(*arrays)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GaussianVec":
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)
@@ -184,20 +175,3 @@ def linearized_norm_constraint(u_mean, u_cov, u_max: float) -> GaussianVec:
     var = float(u_mean @ u_cov @ u_mean) / norm**2
     return GaussianVec([norm - float(u_max)], [[var]])
 
-
-def sample(g: GaussianVec, n: int, seed: int) -> np.ndarray:
-    """Draw ``n`` samples of g, deterministically for a given seed.
-
-    Uses the counter-based Philox generator so that identical
-    ``(g, n, seed)`` gives bitwise-identical output on any platform. Parallel
-    callers should derive one seed per task with
-    ``np.random.SeedSequence(seed, spawn_key=(task_index,))``, as the
-    directional reference does for its blocks; ``seed ^ task_index`` would
-    give colliding streams, since (seed 1, task 0) and (seed 0, task 1) share
-    one.
-    """
-    if n < 0:
-        raise ValueError("sample count must be nonnegative")
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    z = rng.standard_normal((int(n), g.dim))
-    return g.mean + z @ g.chol.T

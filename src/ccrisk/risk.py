@@ -1,10 +1,8 @@
-"""Failure-risk estimators and the Monte-Carlo references.
+"""Failure-risk estimators and the Monte-Carlo reference.
 
 Every estimator is an upper bound on the real failure risk
 beta_R = 1 - P(y <= 0 componentwise). ``directional_risk`` is the seeded
-reference used to measure conservatism; plain counting (``mc_risk``,
-``mc_sector_probability``) is the independent oracle the tests hold it and
-the closed forms to.
+reference used to measure conservatism.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import special
-from .gaussian import GaussianVec, sample
+from .gaussian import GaussianVec
 from .linalg import spectral_radius_sqrt
 
 __all__ = [
@@ -33,14 +31,8 @@ __all__ = [
     "risk_dth_order",
     "directional_risk",
     "directional_risks",
-    "mc_risk",
-    "mc_sector_probability",
-    "wilson_interval",
 ]
 
-# rows of normals the counting oracles draw at a time, which bounds their
-# memory; the counts do not depend on it
-_MC_CHUNK = 65_536
 # antithetic pairs per block of the directional reference: the unit of its
 # random streams and of its parallel work. A block holds about 7 MB at d = 25.
 _BLOCK = 16_384
@@ -71,9 +63,9 @@ class RiskEstimate:
 class McEstimate:
     """Monte-Carlo risk estimate with its 95% confidence interval.
 
-    ``estimator`` names the kernel and with it the interval:
-    ``"counting"`` (plain counting, Wilson interval) or ``"directional"``
-    (directional simulation, normal interval over the antithetic pairs).
+    ``estimator`` names the kernel that drew it and with it the interval;
+    the directional reference writes ``"directional"`` (normal interval over
+    the antithetic pairs).
     """
 
     estimate: float
@@ -90,25 +82,6 @@ class McEstimate:
     @property
     def ci_halfwidth(self) -> float:
         return 0.5 * (self.ci_high - self.ci_low)
-
-
-def wilson_interval(successes: int, n: int) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion.
-
-    Behaves sensibly at extreme proportions (0 or n successes), unlike the
-    normal approximation.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    phat = successes / n
-    denom = 1.0 + _Z95 * _Z95 / n
-    center = (phat + _Z95 * _Z95 / (2 * n)) / denom
-    half = _Z95 * math.sqrt(phat * (1 - phat) / n + _Z95 * _Z95 / (4 * n * n)) / denom
-    # center - half equals 0 (resp. center + half equals 1) analytically at
-    # the extremes; round-off can land a hair on the wrong side of phat
-    lo = 0.0 if successes == 0 else max(center - half, 0.0)
-    hi = 1.0 if successes == n else min(center + half, 1.0)
-    return lo, hi
 
 
 def _require_scalar(g: GaussianVec) -> None:
@@ -359,73 +332,3 @@ def _merge_blocks(sums, n: int, seed: int) -> McEstimate:
         half = max(_Z95 * math.sqrt(m2 / ((pairs - 1) * pairs)), 1e-12 * estimate)
         lo, hi = max(estimate - half, 0.0), min(estimate + half, 1.0)
     return McEstimate(estimate, lo, hi, n, seed, "directional")
-
-
-def mc_risk(g: GaussianVec, n: int, seed: int) -> McEstimate:
-    """Monte-Carlo estimate of the real failure risk 1 - P(y <= 0).
-
-    Plain counting with a fixed chunked sequential stream: the result is
-    identical for a given seed regardless of chunk size. No importance
-    sampling, so size n to the scale of the risk being measured.
-    """
-    if n < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    failures = 0
-    remaining = int(n)
-    while remaining > 0:
-        m = min(remaining, _MC_CHUNK)
-        z = rng.standard_normal((m, g.dim))
-        y = g.mean + z @ g.chol.T
-        failures += int(np.count_nonzero(np.any(y > 0.0, axis=1)))
-        remaining -= m
-    lo, hi = wilson_interval(failures, n)
-    return McEstimate(failures / n, lo, hi, int(n), int(seed), "counting")
-
-
-def mc_sector_probability(
-    d: int,
-    r1: float,
-    r2: float,
-    axis,
-    theta: float,
-    n: int,
-    seed: int,
-) -> McEstimate:
-    """Monte-Carlo probability that a standard normal lies in the shell
-    sector {r1 < ||z|| <= r2, angle(z, axis) <= theta}.
-
-    Membership is tested geometrically per sample; this is the independent
-    oracle for the closed form sector_fraction(cos theta, d)/2 * (psi(r1) -
-    psi(r2)).
-    """
-    if d < 2:
-        raise ValueError("sector geometry needs d >= 2")
-    if not 0.0 <= r1 <= r2:
-        raise ValueError("need 0 <= r1 <= r2")
-    if not 0.0 <= theta <= math.pi / 2:
-        raise ValueError("theta must lie in [0, pi/2]")
-    axis = np.atleast_1d(np.asarray(axis, dtype=float))
-    if axis.shape != (d,):
-        raise ValueError(f"axis must have shape ({d},), got {axis.shape}")
-    if abs(np.linalg.norm(axis) - 1.0) > 1e-9:
-        raise ValueError("axis must be a unit vector")
-    if n < 1:
-        raise ValueError("need at least one sample")
-
-    cos_theta = math.cos(theta)
-    rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
-    hits = 0
-    remaining = int(n)
-    while remaining > 0:
-        m = min(remaining, _MC_CHUNK)
-        z = rng.standard_normal((m, d))
-        norms = np.linalg.norm(z, axis=1)
-        in_shell = (norms > r1) & (norms <= r2)
-        # angle(z, axis) <= theta, guarded against zero-norm samples
-        proj = z @ axis
-        in_cone = proj >= cos_theta * norms
-        hits += int(np.count_nonzero(in_shell & in_cone))
-        remaining -= m
-    lo, hi = wilson_interval(hits, n)
-    return McEstimate(hits / n, lo, hi, int(n), int(seed), "counting")

@@ -17,8 +17,6 @@ from ccrisk.experiments import run_sweep
 from ccrisk.fixtures import DEFAULT_FIXTURE, DEFAULT_TARGET_STATE, box_constraint_distribution
 from ccrisk.gaussian import GaussianVec
 from ccrisk.risk import (
-    mc_risk,
-    mc_sector_probability,
     risk_dth_order,
     risk_exact_1d,
     risk_first_order,
@@ -29,6 +27,7 @@ from ccrisk.risk import (
 from ccrisk.special import psi, psi_inv, sector_fraction
 
 from conftest import random_pd_gaussian
+from oracles import mc_risk, mc_sector_probability
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:

@@ -116,7 +116,7 @@ class TestTable2:
 
 class TestCheck:
     def test_unsatisfied_first_order(self, example_2d, check_cli):
-        payload = json.loads(example_2d.to_json())
+        payload = {"mean": example_2d.mean.tolist(), "cov": example_2d.cov.tolist()}
         payload.update(beta=1e-3, methods=["first_order"])
         report, code = check_cli(payload)
         assert code == EXIT_OK
@@ -155,7 +155,11 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_USAGE
         assert "finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("beta", ["null", "[0.1]", '{"value": 0.1}', '"0.01"', '"abc"', "true"])
+    @pytest.mark.parametrize(
+        "beta",
+        # an integer too large for a double: float() overflows
+        ["null", "[0.1]", '{"value": 0.1}', '"0.01"', '"abc"', "true", pytest.param("1" + "0" * 400, id="huge-int")],
+    )
     def test_non_numeric_beta_usage_exit(self, beta, tmp_path, capsys):
         bad = tmp_path / "beta.json"
         bad.write_text('{"mean": [-1], "cov": [[1]], "beta": %s}' % beta)
@@ -187,8 +191,14 @@ class TestCheck:
             ("mean", [True]),
             ("cov", [["1"]]),
             ("cov", [[True]]),
+            # an integer too large for a double
+            ("mean", [10**400]),
+            ("cov", [[10**400]]),
         ],
-        ids=["mean", "cov", "mean-string", "mean-string-entry", "mean-bool-entry", "cov-string-entry", "cov-bool-entry"],
+        ids=[
+            "mean", "cov", "mean-string", "mean-string-entry", "mean-bool-entry", "cov-string-entry", "cov-bool-entry",
+            "mean-huge-int", "cov-huge-int",
+        ],
     )
     def test_object_valued_array_usage_exit(self, key, value, tmp_path, capsys):
         payload = {"mean": [-1], "cov": [[1]], "beta": 0.1, key: value}
@@ -318,9 +328,13 @@ class TestMainEntry:
             ["sweep", "--dims", "1.."],
             ["--out", "DIR", "sweep"],
             ["sweep", "--emit-plot-data", "DIR"],
+            # the plot data would overwrite the CSV, however the path is spelled
+            ["--out", "same.csv", "sweep", "--emit-plot-data", "same.csv"],
+            ["--out", "same.csv", "sweep", "--emit-plot-data", "./same.csv"],
         ],
     )
     def test_malformed_flag_usage_exit(self, argv, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
         payload = tmp_path / "in.json"
         payload.write_text(json.dumps({"mean": [-3.0, -2.0], "cov": np.eye(2).tolist(), "beta": 1e-3}))
         # NODIR is a path in a directory that does not exist, DIR an existing directory
@@ -331,6 +345,7 @@ class TestMainEntry:
         assert main(argv) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
     def test_mc_samples_zero_table1_is_risk_only(self, capsys):
         assert main(["--mc-samples", "0", "--format", "json", "table1"]) == EXIT_OK
