@@ -32,7 +32,7 @@ def main() -> int:
     perm = np.argsort(radii, kind="stable")
     r_tilde = np.concatenate(([0.0], radii[perm]))
     print(f"signed standardized margins r = {radii}")
-    print(f"sorted radii (0 prepended)   = {r_tilde}, order = {list(perm)}")
+    print(f"sorted radii (0 prepended)   = {r_tilde}, order = {perm.tolist()}")
 
     estimates = {
         "spectral_radius": risk_spectral(g).value,

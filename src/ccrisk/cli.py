@@ -11,12 +11,15 @@
 
 The experiments themselves live in ``ccrisk.experiments``; this module
 alone decides how their results are printed (the CSV and JSON shapes) and
-how a run exits. Exit codes: 0 ok; 2 for a malformed flag value, a missing
-input file, an output path that is a directory or lies in a missing one,
-``--out`` and ``--emit-plot-data`` naming one file, or malformed ``check``
-input, rejected before any work starts; 1 when an estimator is undefined for
-the ``check`` input, or for any other uncaught error. Each error prints one
-``error:`` line.
+how a run exits. It decodes the ``check`` input's JSON, and
+``experiments.run_check`` alone reads the decoded payload.
+Exit codes: 0 ok; 2 for a malformed flag value (a ``--target-state`` with a
+zero component included), a missing input file, an output path that is a
+directory or lies in a missing one, ``--out`` and ``--emit-plot-data``
+naming one file, or malformed ``check`` input, rejected before any work
+starts; 1 when an estimator is undefined for the ``check`` input, or for any
+other uncaught error. Each error prints one ``error:`` line, which shows a
+shortened copy of an offending input value.
 """
 
 from __future__ import annotations
@@ -232,8 +235,9 @@ def _resolve_flags(args) -> None:
             target = [float(v) for v in args.target_state.split(",")]
         except ValueError:
             target = []
-        if len(target) != 6 or not all(map(math.isfinite, target)):
-            raise ValueError(f"--target-state needs 6 finite comma-separated numbers, got {args.target_state!r}")
+        # the box tolerance is relative to each component, so none may be 0
+        if len(target) != 6 or not all(math.isfinite(v) and v != 0.0 for v in target):
+            raise ValueError(f"--target-state needs 6 finite nonzero comma-separated numbers, got {args.target_state!r}")
         args.target_state = target
     if args.command == "sweep":
         args.dims = _parse_dims(args.dims)

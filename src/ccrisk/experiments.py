@@ -18,6 +18,7 @@ reach a relative standard error of about 0.3%.
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -206,41 +207,63 @@ def run_table2(
 # Generic check mode
 # ---------------------------------------------------------------------------
 
+def _numbers(payload: dict, key: str, scalar: bool = False) -> np.ndarray:
+    """``payload[key]`` as a float array, 0-d when ``scalar``; ValueError
+    unless it is a JSON number or nested lists of them, which numpy alone
+    would not ensure: it reads "-3" as -3 and true as 1. A loop, not
+    recursion: the nesting depth comes from the input. The message shows a
+    shortened value."""
+    if key not in payload:
+        raise ValueError(f'missing "{key}"')
+    value = payload[key]
+    try:
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, (list, tuple)):
+                stack.extend(item)
+            elif isinstance(item, bool) or not isinstance(item, (int, float)):
+                raise TypeError
+        # OverflowError: an integer too large for a double; ValueError: ragged lists
+        array = np.asarray(value, dtype=float)
+        if scalar and array.ndim:
+            raise TypeError
+        return array
+    except (TypeError, OverflowError, ValueError):
+        what = "a number" if scalar else "an array of numbers"
+        raise ValueError(f'"{key}" must be {what}, got {reprlib.repr(value)}') from None
+
+
 def run_check(payload: dict, mc_samples: int = 0, seed: int = 0) -> dict:
     """Transcribe and risk-check one user-supplied constraint.
+
+    ``payload`` is the decoded ``check`` input: ``mean`` and ``cov`` (JSON
+    numbers or nested lists of them), ``beta`` (a number in (0, 1)) and an
+    optional nonempty ``methods`` list of ``Method`` names. Every input is
+    checked before any method runs; malformed input raises ValueError.
 
     Returns the report: ``beta``, the ``TranscriptionVerdict`` and
     ``RiskEstimate`` of each requested method, and with ``mc_samples`` > 0
     the ``ConservatismReport`` (None when a mean component is positive).
-    An estimate undefined for the input is reported, not raised; malformed
-    input raises ValueError.
+    An estimate undefined for the input is reported, not raised.
     """
     if not isinstance(payload, dict):
         raise ValueError("input must be a JSON object")
-    g = GaussianVec.from_dict(payload)
-    if "beta" not in payload:
-        raise ValueError('missing "beta"')
-    beta = payload["beta"]
-    try:
-        # float() would take a numeric string or a bool as well
-        if isinstance(beta, bool) or not isinstance(beta, (int, float)):
-            raise TypeError
-        beta = float(beta)
-    except (TypeError, OverflowError):
-        # OverflowError: an integer too large for a double
-        raise ValueError(f'"beta" must be a number, got {beta!r}') from None
+    g = GaussianVec(_numbers(payload, "mean"), _numbers(payload, "cov"))
+    beta = float(_numbers(payload, "beta", scalar=True))
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
     # the default is the three multidimensional methods
     methods = payload.get("methods", list(METHODS)[:3])
     if not isinstance(methods, list) or not methods:
         raise ValueError('"methods" must be a nonempty list')
-    verdicts = []
-    estimates = []
     for m in methods:
         # a list or object entry is unhashable, so test the type first
         if not isinstance(m, str) or m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {tuple(k.value for k in METHODS)}")
+            raise ValueError(f"unknown method {reprlib.repr(m)}; choose from {tuple(k.value for k in METHODS)}")
+    verdicts = []
+    estimates = []
+    for m in methods:
         transcribe, risk = METHODS[m]
         verdicts.append(transcribe(g, beta))
         estimates.append(risk(g))

@@ -38,9 +38,6 @@ __all__ = [
     "box_constraint_distribution",
 ]
 
-# Initial state covariance under feedback control, normalized units.
-SIGMA_X0_CONTROL = 2.0 * np.diag([1e-3, 1e-3, 1e-3, 1e-5, 1e-5, 1e-5])
-
 # Nominal first thrust vector [N] and its covariance [N^2].
 U0_MEAN = np.array([0.15567, 0.42294, -0.033632])
 SIGMA_U0 = np.array(
@@ -78,7 +75,6 @@ DEFAULT_TARGET_STATE = np.array([0.94, 1.20, 0.084, 0.057, 0.18, 0.023])
 
 @dataclass(frozen=True)
 class EarthMarsFixture:
-    sigma_x0_control: np.ndarray = field(default_factory=lambda: SIGMA_X0_CONTROL.copy())
     u0_mean: np.ndarray = field(default_factory=lambda: U0_MEAN.copy())
     sigma_u0: np.ndarray = field(default_factory=lambda: SIGMA_U0.copy())
     u_max: float = U_MAX

@@ -22,20 +22,6 @@ __all__ = [
 ]
 
 
-def _holds_str_or_bool(value) -> bool:
-    """Whether a value or its nested lists hold a string or a bool, which
-    numpy would read as a number ("-3" as -3, true as 1). A loop, not
-    recursion: the nesting depth comes from the input."""
-    stack = [value]
-    while stack:
-        item = stack.pop()
-        if isinstance(item, (list, tuple)):
-            stack.extend(item)
-        elif isinstance(item, (str, bool)):
-            return True
-    return False
-
-
 @dataclass(frozen=True)
 class GaussianVec:
     """Mean and positive-definite covariance of a constraint output.
@@ -100,21 +86,6 @@ class GaussianVec:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GaussianVec":
-        if not isinstance(obj, dict) or "mean" not in obj or "cov" not in obj:
-            raise ValueError('expected an object with "mean" and "cov" keys')
-        arrays = []
-        for key in ("mean", "cov"):
-            try:
-                if _holds_str_or_bool(obj[key]):
-                    raise TypeError
-                arrays.append(np.asarray(obj[key], dtype=float))
-            except (TypeError, OverflowError):
-                # OverflowError: an integer too large for a double
-                raise ValueError(f'"{key}" must be an array of numbers, got {obj[key]!r}') from None
-        return cls(*arrays)
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,12 @@ class TestCheck:
         with pytest.raises(ValueError):
             run_check({"mean": [-1.0], "cov": [[1.0]], "beta": 0.1, "methods": ["bogus"]})
 
+    def test_bad_method_name_rejected_before_any_method_runs(self, monkeypatch):
+        first = next(iter(METHODS))
+        monkeypatch.setitem(METHODS, first, (pytest.fail, pytest.fail))
+        with pytest.raises(ValueError, match="unknown method"):
+            run_check({"mean": [-1.0], "cov": [[1.0]], "beta": 0.1, "methods": [first.value, "bogus"]})
+
     def test_non_finite_input_usage_exit(self, tmp_path, capsys):
         # json.loads accepts the NaN literal; GaussianVec rejects it on entry
         bad = tmp_path / "nan.json"
@@ -166,6 +172,8 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith('error: "beta" must be a number') and err.count("\n") == 1
+        # the line shows a shortened value, not all 401 digits
+        assert len(err.encode()) < 300
 
     def test_scalar_method_on_vector_input(self):
         payload = {"mean": [-1.0, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "beta": 0.1, "methods": ["linear_1d"]}
@@ -194,10 +202,14 @@ class TestCheck:
             # an integer too large for a double
             ("mean", [10**400]),
             ("cov", [[10**400]]),
+            ("mean", None),
+            ("cov", [[1], [1, 2]]),
+            # one bad entry in a large matrix: the error line shows a shortened value
+            ("cov", [["1" if (i, j) == (3, 7) else float(i == j) for j in range(25)] for i in range(25)]),
         ],
         ids=[
             "mean", "cov", "mean-string", "mean-string-entry", "mean-bool-entry", "cov-string-entry", "cov-bool-entry",
-            "mean-huge-int", "cov-huge-int",
+            "mean-huge-int", "cov-huge-int", "mean-null", "cov-ragged", "cov-25x25-string-entry",
         ],
     )
     def test_object_valued_array_usage_exit(self, key, value, tmp_path, capsys):
@@ -207,6 +219,7 @@ class TestCheck:
         assert main(["check", str(bad)]) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith(f'error: "{key}" must be an array of numbers') and err.count("\n") == 1
+        assert len(err.encode()) < 300
 
     @pytest.mark.parametrize(
         "mean,cov",
@@ -331,6 +344,8 @@ class TestMainEntry:
             # the plot data would overwrite the CSV, however the path is spelled
             ["--out", "same.csv", "sweep", "--emit-plot-data", "same.csv"],
             ["--out", "same.csv", "sweep", "--emit-plot-data", "./same.csv"],
+            # the box tolerance is relative to each component
+            ["table2", "--target-state", "0,1,1,1,1,1"],
         ],
     )
     def test_malformed_flag_usage_exit(self, argv, tmp_path, monkeypatch, capsys):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccrisk.experiments import run_check
 from ccrisk.gaussian import (
     GaussianVec,
     LinearConstraintModel,
@@ -17,6 +18,7 @@ from ccrisk.gaussian import (
 from ccrisk.linalg import NotPositiveDefiniteError
 from ccrisk.risk import dth_order_value
 from ccrisk.special import psi
+from ccrisk.transcription import METHODS
 
 from oracles import sample
 
@@ -84,19 +86,22 @@ class TestGaussianVec:
             g.mean_nonpositive = not expected
 
     def test_json_round_trip(self, example_2d):
-        text = json.dumps({"mean": example_2d.mean.tolist(), "cov": example_2d.cov.tolist()})
-        back = GaussianVec.from_dict(json.loads(text))
-        assert np.array_equal(back.mean, example_2d.mean)
-        assert np.array_equal(back.cov, example_2d.cov)
+        # run_check reads the mean and cov back from JSON text exactly
+        text = json.dumps({"mean": example_2d.mean.tolist(), "cov": example_2d.cov.tolist(), "beta": 1e-3})
+        report = run_check(json.loads(text))
+        for verdict, estimate in zip(report["verdicts"], report["risk_estimates"]):
+            transcribe, risk = METHODS[verdict.method]
+            assert np.array_equal(verdict.margins, transcribe(example_2d, 1e-3).margins)
+            assert estimate == risk(example_2d)
 
     def test_parse_rejects_asymmetric_cov(self):
-        payload = json.dumps({"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.2, 1.0]]})
-        with pytest.raises(ValueError):
-            GaussianVec.from_dict(json.loads(payload))
+        payload = json.dumps({"mean": [0.0, 0.0], "cov": [[1.0, 0.5], [0.2, 1.0]], "beta": 0.1})
+        with pytest.raises(ValueError, match="symmetric"):
+            run_check(json.loads(payload))
 
     def test_parse_rejects_missing_keys(self):
-        with pytest.raises(ValueError):
-            GaussianVec.from_dict({"mean": [0.0]})
+        with pytest.raises(ValueError, match='missing "cov"'):
+            run_check({"mean": [0.0]})
 
 
 class TestConstraintDistribution:

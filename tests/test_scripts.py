@@ -30,4 +30,5 @@ def test_worked_example():
     lines = proc.stdout.splitlines()
     assert lines[0] == "signed standardized margins r = [1.90692518 1.        ]"
     assert lines[1].startswith("sorted radii (0 prepended)   = [0.         1.         1.90692518]")
+    assert lines[1].endswith(", order = [1, 0]")
     assert [line.split()[0] for line in lines[3:]] == ["spectral_radius", "first_order", "dth_order"]
