@@ -4,19 +4,8 @@ directional-simulation reference, and a conservatism metric for comparing
 methods. The plain-counting oracles that check them live with the tests."""
 
 from .conservatism import ConservatismReport, conservatism, hierarchy_report, hierarchy_reports
-from .gaussian import (
-    GaussianVec,
-    LinearConstraintModel,
-    constraint_distribution,
-    linearized_norm_constraint,
-)
-from .linalg import (
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    cholesky_lower,
-    congruence,
-    spectral_radius_sqrt,
-)
+from .gaussian import GaussianVec, constraint_distribution, linearized_norm_constraint
+from .linalg import NotPositiveDefiniteError, NotPositiveSemidefiniteError, congruence, spectral_radius_sqrt
 from .risk import (
     McEstimate,
     RiskEstimate,
@@ -35,8 +24,7 @@ from .transcription import (
     TranscriptionVerdict,
     bound_linear_1d,
     bound_nakka_chung,
-    bound_norm_highdim,
-    bound_norm_lowdim,
+    bound_norm_spectral,
     transcribe_dth_order,
     transcribe_first_order,
     transcribe_linear_1d,

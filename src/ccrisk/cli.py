@@ -13,13 +13,15 @@ The experiments themselves live in ``ccrisk.experiments``; this module
 alone decides how their results are printed (the CSV and JSON shapes) and
 how a run exits. It decodes the ``check`` input's JSON, and
 ``experiments.run_check`` alone reads the decoded payload.
-Exit codes: 0 ok; 2 for a malformed flag value (a ``--target-state`` with a
-zero component included), a missing input file, an output path that is a
-directory or lies in a missing one, ``--out`` and ``--emit-plot-data``
-naming one file, or malformed ``check`` input, rejected before any work
-starts; 1 when an estimator is undefined for the ``check`` input, or for any
-other uncaught error. Each error prints one ``error:`` line, which shows a
-shortened copy of an offending input value.
+Exit codes: 0 ok; 2 for an unknown flag, a missing subcommand, a malformed
+flag value (a ``--target-state`` with a zero component included), a
+missing input file, an output path that is a directory or lies in a
+missing one, ``--out`` and ``--emit-plot-data`` naming one file, or
+malformed ``check`` input (JSON nested too deeply to decode included),
+rejected before any work starts; 1 when an estimator is undefined for the
+``check`` input, or for any other uncaught error. Each error, argparse's
+own included, prints one ``error:`` line, which shows a shortened copy of
+an offending input value.
 """
 
 from __future__ import annotations
@@ -36,7 +38,6 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import run_check, run_sweep, run_table1, run_table2
-from .fixtures import DEFAULT_FIXTURE
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -171,8 +172,17 @@ def _parse_dims(text: str) -> tuple:
     return tuple(dims)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValueError, for ``main`` to
+    print as one ``error:`` line, without the usage block; the subcommand
+    parsers are of the same class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ccrisk",
         description="Gaussian chance-constraint transcription and risk benchmark",
     )
@@ -268,17 +278,19 @@ def _resolve_flags(args) -> None:
             args.payload = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError("invalid JSON: arrays or objects nested too deeply to decode") from None
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-    # a ValueError or KeyError from the flag checks or from check's input is
-    # a usage error; from a table or the sweep it is a domain error
+    # a ValueError or KeyError from the flags or from check's input is a
+    # usage error; from a table or the sweep it is a domain error
     usage_errors = (ValueError, KeyError)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:
+            return EXIT_OK  # argparse exits only after printing the help
         _resolve_flags(args)
         if args.command == "check":
             report = run_check(args.payload, args.mc_samples, args.seed)
@@ -293,9 +305,9 @@ def main(argv=None) -> int:
                 _write_output(sweep_plot_data(rows), args.emit_plot_data)
         else:
             if args.command == "table1":
-                result = run_table1(DEFAULT_FIXTURE, args.mc_samples, args.seed)
+                result = run_table1(args.mc_samples, args.seed)
             else:
-                result = run_table2(DEFAULT_FIXTURE, args.target_state, args.mc_samples, args.seed)
+                result = run_table2(args.target_state, args.mc_samples, args.seed)
             _write_output(_dump_json(result) if args.format == "json" else _table_csv(result), args.out)
     except Exception as exc:
         # whatever escapes, a worker thread's error included, ends in one

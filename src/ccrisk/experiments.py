@@ -23,7 +23,7 @@ import reprlib
 import numpy as np
 
 from .conservatism import gamma_or_inf, hierarchy_report, hierarchy_reports
-from .fixtures import DEFAULT_TARGET_STATE, EarthMarsFixture, box_constraint_distribution
+from .fixtures import DEFAULT_FIXTURE, DEFAULT_TARGET_STATE, box_constraint_distribution
 from .gaussian import GaussianVec
 from .linalg import NotPositiveDefiniteError
 from .risk import directional_risk, risk_first_order, risk_nakka_chung, risk_norm_spectral
@@ -134,20 +134,20 @@ def run_sweep(dims, n_dists: int, beta: float, mc_samples: int, seed: int) -> li
 # Table reproductions
 # ---------------------------------------------------------------------------
 
-def run_table1(fixture: EarthMarsFixture, mc_samples: int, seed: int) -> dict:
-    """Control-magnitude constraint comparison.
+def run_table1(mc_samples: int, seed: int) -> dict:
+    """Control-magnitude constraint comparison on ``DEFAULT_FIXTURE``.
 
     The 1-D rows use the fixture's published scalar constraint
     distribution; the norm/spectral row works from the full control
     covariance. With mc_samples = 0 only the risks are reported.
     """
-    g = fixture.control_constraint()
+    g = DEFAULT_FIXTURE.control_constraint()
     rows = []
     ref = None
     if mc_samples > 0:
         ref = directional_risk(g, mc_samples, seed)
         rows.append({"method": "mc_true", "risk": ref.estimate, "conservatism": None})
-    spectral = risk_norm_spectral(fixture.u0_mean, fixture.sigma_u0, fixture.u_max)
+    spectral = risk_norm_spectral(DEFAULT_FIXTURE.u0_mean, DEFAULT_FIXTURE.sigma_u0, DEFAULT_FIXTURE.u_max)
     for est in (spectral, risk_nakka_chung(g), risk_first_order(g)):
         gamma = None if ref is None else gamma_or_inf(est.value, ref.estimate)
         rows.append({"method": est.method, "risk": est.value, "conservatism": gamma})
@@ -159,13 +159,9 @@ def run_table1(fixture: EarthMarsFixture, mc_samples: int, seed: int) -> dict:
     }
 
 
-def run_table2(
-    fixture: EarthMarsFixture,
-    target_state,
-    mc_samples: int,
-    seed: int,
-) -> dict:
-    """Terminal box-constraint comparison at d = 6 and d = 12.
+def run_table2(target_state, mc_samples: int, seed: int) -> dict:
+    """Terminal box-constraint comparison at d = 6 and d = 12 on
+    ``DEFAULT_FIXTURE``.
 
     Without an explicit target state a documented placeholder is used; the
     published risks are only reproducible with the true (unpublished)
@@ -175,7 +171,7 @@ def run_table2(
     target = DEFAULT_TARGET_STATE if target_state is None else np.asarray(target_state, float)
     default_used = target_state is None
     layout = ((True, 6), (False, 12))
-    gs = [box_constraint_distribution(fixture, target, position_only) for position_only, _ in layout]
+    gs = [box_constraint_distribution(DEFAULT_FIXTURE, target, position_only) for position_only, _ in layout]
     # both sections in one batch, so the reference's blocks fill every core
     reports = hierarchy_reports(gs, mc_samples, [_sub_seed(seed, d) for _, d in layout])
     sections = []

@@ -12,11 +12,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import _cholesky, _spectral_radius_sqrt, as_symmetric, congruence
+from .linalg import _cholesky, as_symmetric, congruence
 
 __all__ = [
     "GaussianVec",
-    "LinearConstraintModel",
     "constraint_distribution",
     "linearized_norm_constraint",
 ]
@@ -73,8 +72,9 @@ class GaussianVec:
 
     @cached_property
     def sqrt_lambda_max(self) -> float:
-        """Square root of the largest covariance eigenvalue."""
-        return _spectral_radius_sqrt(self.cov)
+        """Square root of the largest covariance eigenvalue, which is
+        positive: the covariance passed the Cholesky pivot test."""
+        return float(np.sqrt(np.linalg.eigvalsh(self.cov)[-1]))
 
     @cached_property
     def dth_order_risk(self) -> float:
@@ -88,48 +88,25 @@ class GaussianVec:
         return self.mean.shape[0]
 
 
-@dataclass(frozen=True)
-class LinearConstraintModel:
-    """Linearized constraint y = f_val + (grad_x + grad_u @ gain) @ dx with
+def constraint_distribution(f_val, grad_x, grad_u, gain, state_cov) -> GaussianVec:
+    """Distribution of the linearized constraint output
+    y = f_val + (grad_x + grad_u @ gain) @ dx under state feedback, with
     dx ~ N(0, state_cov)."""
-
-    f_val: np.ndarray
-    grad_x: np.ndarray
-    grad_u: np.ndarray
-    gain: np.ndarray
-    state_cov: np.ndarray
-
-    def __post_init__(self) -> None:
-        f_val = np.atleast_1d(np.asarray(self.f_val, dtype=float))
-        grad_x = np.atleast_2d(np.asarray(self.grad_x, dtype=float))
-        grad_u = np.atleast_2d(np.asarray(self.grad_u, dtype=float))
-        gain = np.atleast_2d(np.asarray(self.gain, dtype=float))
-        state_cov = as_symmetric(self.state_cov)
-        d, n_x = grad_x.shape
-        if f_val.shape[0] != d:
-            raise ValueError("f_val length does not match gradient rows")
-        if grad_u.shape[0] != d:
-            raise ValueError("grad_x and grad_u row counts differ")
-        if gain.shape != (grad_u.shape[1], n_x):
-            raise ValueError(
-                f"gain must be {grad_u.shape[1]}x{n_x}, got {gain.shape}"
-            )
-        if state_cov.shape[0] != n_x:
-            raise ValueError("state_cov dimension does not match grad_x columns")
-        for name, val in (
-            ("f_val", f_val),
-            ("grad_x", grad_x),
-            ("grad_u", grad_u),
-            ("gain", gain),
-            ("state_cov", state_cov),
-        ):
-            object.__setattr__(self, name, val)
-
-
-def constraint_distribution(m: LinearConstraintModel) -> GaussianVec:
-    """Distribution of the linearized constraint output under state feedback."""
-    combined = m.grad_x + m.grad_u @ m.gain
-    return GaussianVec(m.f_val, congruence(combined, m.state_cov))
+    f_val = np.atleast_1d(np.asarray(f_val, dtype=float))
+    grad_x = np.atleast_2d(np.asarray(grad_x, dtype=float))
+    grad_u = np.atleast_2d(np.asarray(grad_u, dtype=float))
+    gain = np.atleast_2d(np.asarray(gain, dtype=float))
+    state_cov = as_symmetric(state_cov)
+    d, n_x = grad_x.shape
+    if f_val.shape[0] != d:
+        raise ValueError("f_val length does not match gradient rows")
+    if grad_u.shape[0] != d:
+        raise ValueError("grad_x and grad_u row counts differ")
+    if gain.shape != (grad_u.shape[1], n_x):
+        raise ValueError(f"gain must be {grad_u.shape[1]}x{n_x}, got {gain.shape}")
+    if state_cov.shape[0] != n_x:
+        raise ValueError("state_cov dimension does not match grad_x columns")
+    return GaussianVec(f_val, congruence(grad_x + grad_u @ gain, state_cov))
 
 
 def linearized_norm_constraint(u_mean, u_cov, u_max: float) -> GaussianVec:

@@ -13,7 +13,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "NotPositiveSemidefiniteError",
     "as_symmetric",
-    "cholesky_lower",
     "spectral_radius_sqrt",
     "congruence",
     "clip_to_psd",
@@ -23,7 +22,11 @@ __all__ = [
 # degenerate covariance rather than round-off.
 _CHOL_PIVOT_RTOL = 1e-13
 
+# Asymmetry allowed, relative to the largest entry.
 _SYM_RTOL = 1e-12
+
+# clip_to_psd's eigenvalue floor, relative to the largest eigenvalue.
+_PSD_FLOOR_RTOL = 1e-8
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -34,27 +37,23 @@ class NotPositiveSemidefiniteError(ValueError):
     """Raised when a matrix has a significantly negative eigenvalue."""
 
 
-def as_symmetric(S, rtol: float = _SYM_RTOL) -> np.ndarray:
-    """Validate symmetry within ``rtol`` (relative to the largest entry) and
-    return an exactly symmetrized copy."""
+def as_symmetric(S) -> np.ndarray:
+    """Validate symmetry within ``_SYM_RTOL`` (relative to the largest
+    entry) and return an exactly symmetrized copy."""
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
     scale = max(np.max(np.abs(S)), 1.0) if S.size else 1.0
-    if np.max(np.abs(S - S.T), initial=0.0) > rtol * scale:
+    if np.max(np.abs(S - S.T), initial=0.0) > _SYM_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (S + S.T)
 
 
-def cholesky_lower(S) -> np.ndarray:
-    """Lower-triangular Cholesky factor M with M @ M.T == S."""
-    return _cholesky(as_symmetric(S))
-
-
 def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """``cholesky_lower`` of an exactly symmetric S, by LAPACK. A pivot
-    M[j, j]**2 at or below ``tol`` (default: _CHOL_PIVOT_RTOL times the
-    largest diagonal entry) or NaN raises NotPositiveDefiniteError naming j."""
+    """Lower-triangular factor M with M @ M.T == S of an exactly symmetric S
+    (``as_symmetric``'s output), by LAPACK. A pivot M[j, j]**2 at or below
+    ``tol`` (default: _CHOL_PIVOT_RTOL times the largest diagonal entry) or
+    NaN raises NotPositiveDefiniteError naming j."""
     if tol is None:
         tol = _CHOL_PIVOT_RTOL * max(float(np.max(np.diag(S), initial=0.0)), 0.0)
     try:
@@ -72,12 +71,7 @@ def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 def spectral_radius_sqrt(S) -> float:
     """Positive square root of the largest eigenvalue of a PSD matrix."""
-    return _spectral_radius_sqrt(as_symmetric(S))
-
-
-def _spectral_radius_sqrt(S: np.ndarray) -> float:
-    """``spectral_radius_sqrt`` of an exactly symmetric S."""
-    w = np.linalg.eigvalsh(S)
+    w = np.linalg.eigvalsh(as_symmetric(S))
     lam_max = float(w[-1])
     if w[0] < -1e-10 * max(abs(lam_max), 1e-300):
         raise NotPositiveSemidefiniteError(
@@ -98,15 +92,15 @@ def congruence(A, S) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def clip_to_psd(S, floor_rtol: float = 1e-8) -> np.ndarray:
+def clip_to_psd(S) -> np.ndarray:
     """Nearest-PSD repair by clipping eigenvalues to a small positive floor.
 
     Intended for published covariances whose printed precision breaks
-    positive semidefiniteness by a sliver; the floor is relative to the
-    largest eigenvalue.
+    positive semidefiniteness by a sliver; the floor is ``_PSD_FLOOR_RTOL``
+    of the largest eigenvalue.
     """
     S = as_symmetric(S)
     w, V = np.linalg.eigh(S)
-    floor = floor_rtol * max(float(w[-1]), 0.0)
+    floor = _PSD_FLOOR_RTOL * max(float(w[-1]), 0.0)
     repaired = (V * np.clip(w, floor, None)) @ V.T
     return 0.5 * (repaired + repaired.T)

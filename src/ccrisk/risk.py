@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.special import ndtr
 
 from . import special
 from .gaussian import GaussianVec
@@ -98,7 +99,7 @@ def risk_exact_1d(g: GaussianVec) -> RiskEstimate:
     _require_scalar(g)
     mean = float(g.mean[0])
     sigma = math.sqrt(float(g.cov[0, 0]))
-    return RiskEstimate("exact_1d", special.std_normal_cdf(mean / sigma))
+    return RiskEstimate("exact_1d", float(ndtr(mean / sigma)))
 
 
 def risk_nakka_chung(g: GaussianVec) -> RiskEstimate:

@@ -25,8 +25,6 @@ import math
 from scipy import special as _sp
 
 __all__ = [
-    "std_normal_cdf",
-    "std_normal_quantile",
     "psi",
     "psi_array",
     "psi_inv",
@@ -48,22 +46,6 @@ def _check_dof(d: int, minimum: int = 1) -> int:
     if d < minimum:
         raise ValueError(f"degrees of freedom must be >= {minimum}, got {d}")
     return d
-
-
-def std_normal_cdf(x: float) -> float:
-    """CDF of the standard normal distribution."""
-    return float(_sp.ndtr(_check_finite("x", x)))
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse CDF of the standard normal distribution.
-
-    Rejects p in {0, 1}: the quantile is infinite there.
-    """
-    p = _check_finite("p", p)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly in (0, 1), got {p}")
-    return float(_sp.ndtri(p))
 
 
 def psi(r: float, d: int) -> float:

@@ -13,17 +13,17 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import risk as _risk
 from .gaussian import GaussianVec
-from .special import psi_inv, std_normal_quantile
+from .special import psi_inv
 
 __all__ = [
     "METHODS",
     "Method",
     "TranscriptionVerdict",
-    "bound_norm_highdim",
-    "bound_norm_lowdim",
+    "bound_norm_spectral",
     "bound_linear_1d",
     "bound_nakka_chung",
     "transcribe_spectral_radius",
@@ -59,33 +59,28 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
-def bound_norm_highdim(beta: float, n_u: int, rho: float) -> float:
-    """Norm-constraint safety bound [sqrt(2 ln(1/beta)) + sqrt(n_u)] * rho,
-    valid in any control dimension."""
+def bound_norm_spectral(beta: float, n_u: int, rho: float) -> float:
+    """Norm-constraint backoff [sqrt(2 ln(1/beta)) + sqrt(n_u)] * rho, the
+    sqrt(n_u) shift applying only above control dimension 2: the inverse of
+    ``risk.risk_norm_spectral`` in every control dimension."""
     beta = _check_beta(beta)
     if n_u < 1:
         raise ValueError("control dimension must be >= 1")
     if rho < 0.0:
         raise ValueError("rho must be nonnegative")
-    return (math.sqrt(2.0 * math.log(1.0 / beta)) + math.sqrt(n_u)) * rho
-
-
-def bound_norm_lowdim(beta: float, rho: float) -> float:
-    """Sharper norm-constraint bound sqrt(2 ln(1/beta)) * rho for control
-    dimension 1 or 2."""
-    beta = _check_beta(beta)
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
-    return math.sqrt(2.0 * math.log(1.0 / beta)) * rho
+    shift = math.sqrt(n_u) if n_u > 2 else 0.0
+    # -log(beta), not log(1 / beta), which overflows below beta ~ 5.6e-309
+    return (math.sqrt(-2.0 * math.log(beta)) + shift) * rho
 
 
 def bound_linear_1d(beta: float, var_y: float) -> float:
     """Exact scalar Gaussian backoff Phi^-1(1-beta) * sigma (necessary and
-    sufficient in one dimension)."""
+    sufficient in one dimension), as -Phi^-1(beta): 1 - beta would round
+    away beta's digits, and to 1 below about 1.1e-16."""
     beta = _check_beta(beta)
     if var_y <= 0.0:
         raise ValueError("variance must be positive")
-    return std_normal_quantile(1.0 - beta) * math.sqrt(var_y)
+    return float(-ndtri(beta)) * math.sqrt(var_y)
 
 
 def bound_nakka_chung(beta: float, var_y: float) -> float:

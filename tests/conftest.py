@@ -1,5 +1,12 @@
 """Shared fixtures for the test suite."""
 
+import os
+
+# One BLAS thread: the reference's blocks already run one thread per core,
+# and BLAS threads of their own in each block's product only compete with
+# them. Set before numpy is first imported, which reads it once.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 import pytest
 

@@ -11,7 +11,6 @@ import pytest
 import ccrisk.cli
 from ccrisk.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, SWEEP_CSV_COLUMNS, _dump_json, _parse_dims, main, sweep_csv
 from ccrisk.experiments import _box_stats, run_check, run_sweep, run_table1, run_table2
-from ccrisk.fixtures import DEFAULT_FIXTURE
 from ccrisk.gaussian import GaussianVec
 from ccrisk.transcription import METHODS
 
@@ -85,14 +84,14 @@ class TestSweep:
 
 class TestTable1:
     def test_rows_and_reference(self):
-        result = run_table1(DEFAULT_FIXTURE, 10**5, 0)
+        result = run_table1(10**5, 0)
         methods = [r["method"] for r in result["rows"]]
         assert methods == ["mc_true", "norm_spectral", "nakka_chung", "first_order"]
         assert result["mc_samples"] == 10**5
         assert result["seed"] == 0
 
     def test_mc_zero_gives_risks_only(self):
-        result = run_table1(DEFAULT_FIXTURE, 0, 0)
+        result = run_table1(0, 0)
         methods = [r["method"] for r in result["rows"]]
         assert "mc_true" not in methods
         assert all(r["conservatism"] is None for r in result["rows"])
@@ -100,7 +99,7 @@ class TestTable1:
 
 class TestTable2:
     def test_placeholder_flagged_and_ordered(self):
-        result = run_table2(DEFAULT_FIXTURE, None, 10**5, 0)
+        result = run_table2(None, 10**5, 0)
         assert result["target_is_placeholder"] is True
         assert [s["dimension"] for s in result["sections"]] == [6, 12]
         for section in result["sections"]:
@@ -109,7 +108,7 @@ class TestTable2:
 
     def test_explicit_target(self):
         target = [0.9, 1.1, 0.1, 0.05, 0.2, 0.03]
-        result = run_table2(DEFAULT_FIXTURE, target, 10**4, 0)
+        result = run_table2(target, 10**4, 0)
         assert result["target_is_placeholder"] is False
         assert result["target_state"] == target
 
@@ -174,6 +173,22 @@ class TestCheck:
         assert err.startswith('error: "beta" must be a number') and err.count("\n") == 1
         # the line shows a shortened value, not all 401 digits
         assert len(err.encode()) < 300
+
+    def test_linear_1d_beyond_one_minus_beta_rounding(self, check_cli):
+        # 1 - 1e-17 rounds to 1; the exact backoff never forms it
+        payload = {"mean": [-10.0], "cov": [[1.0]], "beta": 1e-17, "methods": ["linear_1d"]}
+        report, code = check_cli(payload)
+        assert code == EXIT_OK
+        assert report["verdicts"][0]["satisfied"] is True
+        assert report["risk_estimates"][0]["value"] <= 1e-17
+
+    def test_deeply_nested_input_usage_exit(self, tmp_path, capsys):
+        # the JSON decoder recurses once per level of nesting
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"mean": %s%s, "cov": [[1]], "beta": 0.1}' % ("[" * 100_000, "]" * 100_000))
+        assert main(["check", str(bad)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
 
     def test_scalar_method_on_vector_input(self):
         payload = {"mean": [-1.0, -1.0], "cov": [[1.0, 0.0], [0.0, 1.0]], "beta": 0.1, "methods": ["linear_1d"]}
@@ -346,6 +361,11 @@ class TestMainEntry:
             ["--out", "same.csv", "sweep", "--emit-plot-data", "./same.csv"],
             # the box tolerance is relative to each component
             ["table2", "--target-state", "0,1,1,1,1,1"],
+            # argparse's own errors: a bad type, an unknown flag, no subcommand
+            ["--seed", "abc", "table1"],
+            ["sweep", "--n-dists", "x"],
+            ["sweep", "--no-such-flag"],
+            [],
         ],
     )
     def test_malformed_flag_usage_exit(self, argv, tmp_path, monkeypatch, capsys):
@@ -370,6 +390,11 @@ class TestMainEntry:
 
     def test_unknown_flag_usage_exit(self):
         assert main(["sweep", "--no-such-flag"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+    def test_help_exit_ok(self, argv, capsys):
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: ccrisk")
 
     def test_emit_plot_data(self, tmp_path):
         out = tmp_path / "sweep.csv"

@@ -8,7 +8,7 @@ from ccrisk.fixtures import (
     DEFAULT_TARGET_STATE,
     box_constraint_distribution,
 )
-from ccrisk.linalg import cholesky_lower
+from ccrisk.linalg import _cholesky, as_symmetric
 
 
 class TestControlConstraint:
@@ -26,7 +26,7 @@ class TestTerminalStateCov:
 
     def test_repair_is_pd_and_close(self):
         repaired = DEFAULT_FIXTURE.terminal_state_cov()
-        cholesky_lower(repaired)  # must succeed
+        _cholesky(as_symmetric(repaired))  # must succeed
         diff = np.max(np.abs(repaired - DEFAULT_FIXTURE.sigma_xN))
         assert diff < 5e-3 * np.max(np.abs(DEFAULT_FIXTURE.sigma_xN))
 

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from ccrisk.experiments import run_check
 from ccrisk.gaussian import (
     GaussianVec,
-    LinearConstraintModel,
     constraint_distribution,
     linearized_norm_constraint,
 )
@@ -107,37 +106,52 @@ class TestGaussianVec:
 class TestConstraintDistribution:
     def test_zero_gain_identity_gradient(self):
         state_cov = np.array([[2.0, 0.1], [0.1, 1.0]])
-        m = LinearConstraintModel(
+        g = constraint_distribution(
             f_val=[1.0, -1.0],
             grad_x=np.eye(2),
             grad_u=np.zeros((2, 2)),
             gain=np.zeros((2, 2)),
             state_cov=state_cov,
         )
-        g = constraint_distribution(m)
         assert np.array_equal(g.mean, [1.0, -1.0])
         assert np.allclose(g.cov, state_cov)
 
     def test_pure_feedback_path(self):
         a = np.array([[1.0, 1.0], [0.0, 1.0]])
-        m = LinearConstraintModel(
+        g = constraint_distribution(
             f_val=[0.0, 0.0],
             grad_x=np.zeros((2, 2)),
             grad_u=np.eye(2),
             gain=a,
             state_cov=np.eye(2),
         )
-        assert np.allclose(constraint_distribution(m).cov, a @ a.T)
+        assert np.allclose(g.cov, a @ a.T)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            LinearConstraintModel(
+            constraint_distribution(
                 f_val=[0.0],
                 grad_x=np.eye(2),
                 grad_u=np.zeros((2, 1)),
                 gain=np.zeros((1, 2)),
                 state_cov=np.eye(2),
             )
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"f_val": [0.0]}, "f_val length does not match gradient rows"),
+            ({"grad_u": np.zeros((3, 1))}, "grad_x and grad_u row counts differ"),
+            ({"gain": np.zeros((2, 2))}, "gain must be 1x2, got \\(2, 2\\)"),
+            ({"state_cov": np.eye(3)}, "state_cov dimension does not match grad_x columns"),
+        ],
+    )
+    def test_each_shape_check_names_its_mismatch(self, change, message):
+        args = dict(
+            f_val=[0.0, 0.0], grad_x=np.eye(2), grad_u=np.zeros((2, 1)), gain=np.zeros((1, 2)), state_cov=np.eye(2)
+        )
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            constraint_distribution(**{**args, **change})
 
 
 class TestLinearizedNormConstraint:
@@ -183,23 +197,21 @@ class TestSignedMahalanobis:
     @settings(max_examples=25)
     @given(st.floats(0.1, 10))
     def test_row_rescaling_invariance(self, c):
-        base = LinearConstraintModel(
+        base = constraint_distribution(
             f_val=[-1.0, -2.0],
             grad_x=np.array([[1.0, 0.5], [0.0, 1.0]]),
             grad_u=np.zeros((2, 2)),
             gain=np.zeros((2, 2)),
             state_cov=np.eye(2),
         )
-        scaled = LinearConstraintModel(
+        scaled = constraint_distribution(
             f_val=[-1.0 * c, -2.0],
             grad_x=np.array([[c, 0.5 * c], [0.0, 1.0]]),
             grad_u=np.zeros((2, 2)),
             gain=np.zeros((2, 2)),
             state_cov=np.eye(2),
         )
-        r0 = constraint_distribution(base).radii
-        r1 = constraint_distribution(scaled).radii
-        assert np.allclose(r0, r1, rtol=1e-12)
+        assert np.allclose(base.radii, scaled.radii, rtol=1e-12)
 
 
 class TestSortedRadii:

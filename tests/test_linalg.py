@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ccrisk.gaussian import GaussianVec
 from ccrisk.linalg import (
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
+    _cholesky,
     as_symmetric,
-    cholesky_lower,
     clip_to_psd,
     congruence,
     spectral_radius_sqrt,
@@ -46,42 +47,42 @@ def spd_matrices(draw, min_dim=1):
 class TestCholesky:
     @pytest.mark.parametrize("d", [1, 2, 5])
     def test_identity(self, d):
-        assert np.array_equal(cholesky_lower(np.eye(d)), np.eye(d))
+        assert np.array_equal(_cholesky(as_symmetric(np.eye(d))), np.eye(d))
 
     def test_hand_example(self):
-        L = cholesky_lower(np.array([[4.0, 2.0], [2.0, 5.0]]))
+        L = _cholesky(as_symmetric(np.array([[4.0, 2.0], [2.0, 5.0]])))
         assert np.allclose(L, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
 
     def test_example_cov_reproduces(self):
-        L = cholesky_lower(EXAMPLE_COV)
+        L = _cholesky(as_symmetric(EXAMPLE_COV))
         assert np.all(np.tril(L) == L)
         assert np.all(np.diag(L) > 0)
         assert np.max(np.abs(L @ L.T - EXAMPLE_COV)) < 1e-12 * np.linalg.norm(EXAMPLE_COV)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky_lower(np.array([[1.0, 2.0], [2.0, 1.0]]))
+            _cholesky(as_symmetric(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
     def test_rejects_singular(self):
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky_lower(np.ones((3, 3)))
+            _cholesky(as_symmetric(np.ones((3, 3))))
 
     def test_full_rank_criterion(self):
         # cholesky(A A^T) succeeds iff A has full row rank
         rng = np.random.default_rng(11)
         a = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
         s = congruence(a, np.eye(4))
-        L = cholesky_lower(s)
+        L = _cholesky(as_symmetric(s))
         assert np.allclose(L @ L.T, s, atol=1e-10 * np.linalg.norm(s))
         deficient = a.copy()
         deficient[3] = deficient[0]  # duplicate row: rank 3
         with pytest.raises(NotPositiveDefiniteError):
-            cholesky_lower(congruence(deficient, np.eye(4)))
+            _cholesky(as_symmetric(congruence(deficient, np.eye(4))))
 
     @settings(max_examples=60, deadline=None)
     @given(spd_matrices())
     def test_matches_pivot_loop(self, s):
-        L = cholesky_lower(s)
+        L = _cholesky(as_symmetric(s))
         assert np.array_equal(L, np.tril(L))
         assert np.all(np.diag(L) > 0.0)
         oracle = pivot_loop_cholesky(s)
@@ -106,7 +107,7 @@ class TestCholesky:
     )
     def test_failure_names_pivot_and_tolerance(self, s, index):
         with pytest.raises(ValueError) as info:  # LinAlgError is a ValueError too
-            cholesky_lower(s)
+            _cholesky(as_symmetric(s))
         assert type(info.value) is NotPositiveDefiniteError
         assert f"at index {index}" in str(info.value) and "tolerance" in str(info.value)
 
@@ -121,7 +122,7 @@ class TestCholesky:
         s[k, :] = s[:, k] = 2.0 * s[0, :]
         s[k, k] = 4.0 * s[0, 0] + shift
         with pytest.raises(ValueError) as info:
-            cholesky_lower(s)
+            _cholesky(as_symmetric(s))
         assert type(info.value) is NotPositiveDefiniteError
 
 
@@ -145,6 +146,12 @@ class TestSpectralRadiusSqrt:
         lam_max = max(r.real for r in np.roots(coeffs))
         assert spectral_radius_sqrt(s) == pytest.approx(np.sqrt(lam_max), rel=1e-10)
         assert spectral_radius_sqrt(s) == pytest.approx(1.111e-2, abs=1e-5)
+
+    @settings(max_examples=30, deadline=None)
+    @given(spd_matrices())
+    def test_gaussian_vec_reads_the_same_value(self, s):
+        # GaussianVec skips the PSD check its pivot test has made redundant
+        assert GaussianVec(np.full(s.shape[0], -1.0), s).sqrt_lambda_max == spectral_radius_sqrt(s)
 
     def test_rejects_negative_definite(self):
         with pytest.raises(NotPositiveSemidefiniteError):
@@ -238,5 +245,5 @@ class TestClipToPsd:
         s = as_symmetric(q @ np.diag([1.0, 0.5, -1e-12]) @ q.T)
         repaired = clip_to_psd(s)
         assert np.min(np.linalg.eigvalsh(repaired)) > 0
-        cholesky_lower(repaired)  # must succeed
+        _cholesky(as_symmetric(repaired))  # must succeed
         assert np.max(np.abs(repaired - s)) < 1e-7

@@ -9,21 +9,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccrisk.gaussian import GaussianVec
+from ccrisk.risk import risk_exact_1d
 from ccrisk.special import (
     psi,
     psi_array,
     psi_inv,
     sector_fraction,
     sector_fraction_array,
-    std_normal_cdf,
-    std_normal_quantile,
 )
+from ccrisk.transcription import bound_linear_1d
 
 mpmath.mp.dps = 40
 
 
 def oracle_normal_cdf(x: float) -> float:
     return float(mpmath.ncdf(x))
+
+
+# The standard normal CDF and quantile, as the package evaluates them (by
+# scipy's ndtr and ndtri): the exact risk of a unit-variance scalar
+# constraint, and its exact backoff.
+def phi(x: float) -> float:
+    return risk_exact_1d(GaussianVec([x], [[1.0]])).value
+
+
+def phi_inv(p: float) -> float:
+    return bound_linear_1d(1.0 - p, 1.0)
 
 
 def oracle_chi2_cdf(x: float, d: int) -> float:
@@ -51,46 +63,46 @@ def inc_beta_at(c: float, d: int) -> tuple[float, float]:
 
 class TestStdNormalCdf:
     def test_symmetry_at_zero(self):
-        assert std_normal_cdf(0.0) == pytest.approx(0.5, abs=1e-15)
+        assert phi(0.0) == pytest.approx(0.5, abs=1e-15)
 
     def test_975_quantile_point(self):
-        assert std_normal_cdf(1.959964) == pytest.approx(0.975, abs=1e-6)
+        assert phi(1.959964) == pytest.approx(0.975, abs=1e-6)
 
     def test_deep_tail_against_oracle(self):
-        assert std_normal_cdf(-4.7832) == pytest.approx(oracle_normal_cdf(-4.7832), abs=5e-8)
-        assert std_normal_cdf(-4.7832) == pytest.approx(8.6e-7, abs=5e-8)
+        assert phi(-4.7832) == pytest.approx(oracle_normal_cdf(-4.7832), abs=5e-8)
+        assert phi(-4.7832) == pytest.approx(8.6e-7, abs=5e-8)
 
     @given(st.floats(-8, 8))
     def test_complement_identity(self, x):
-        assert std_normal_cdf(x) + std_normal_cdf(-x) == pytest.approx(1.0, abs=1e-12)
+        assert phi(x) + phi(-x) == pytest.approx(1.0, abs=1e-12)
 
     @given(st.floats(-6, 6))
     def test_matches_oracle(self, x):
-        assert std_normal_cdf(x) == pytest.approx(oracle_normal_cdf(x), abs=1e-12)
+        assert phi(x) == pytest.approx(oracle_normal_cdf(x), abs=1e-12)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            std_normal_cdf(math.nan)
+            phi(math.nan)
 
 
 class TestStdNormalQuantile:
     def test_median(self):
-        assert std_normal_quantile(0.5) == pytest.approx(0.0, abs=1e-15)
+        assert phi_inv(0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_two_sided_975(self):
-        assert std_normal_quantile(0.975) == pytest.approx(1.959964, abs=1e-6)
+        assert phi_inv(0.975) == pytest.approx(1.959964, abs=1e-6)
 
     def test_one_sigma(self):
-        assert std_normal_quantile(0.841345) == pytest.approx(1.0, abs=1e-5)
+        assert phi_inv(0.841345) == pytest.approx(1.0, abs=1e-5)
 
     @given(st.floats(1e-8, 1 - 1e-8))
     def test_round_trip(self, p):
-        assert std_normal_cdf(std_normal_quantile(p)) == pytest.approx(p, abs=1e-10)
+        assert phi(phi_inv(p)) == pytest.approx(p, abs=1e-10)
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1])
     def test_rejects_boundary(self, p):
         with pytest.raises(ValueError):
-            std_normal_quantile(p)
+            phi_inv(p)
 
 
 class TestChi2Cdf:
@@ -149,7 +161,7 @@ class TestPsi:
     @given(st.floats(0, 8), st.integers(1, 20))
     def test_one_dof_identity_and_range(self, r, d):
         assert 0.0 <= psi(r, d) <= 1.0
-        assert psi(r, 1) == pytest.approx(2 * (1 - std_normal_cdf(r)), abs=1e-10)
+        assert psi(r, 1) == pytest.approx(math.erfc(r / math.sqrt(2.0)), abs=1e-10)
 
     def test_nonincreasing(self):
         values = [psi(r, 4) for r in (0.0, 0.5, 1.0, 2.0, 4.0)]

@@ -13,7 +13,9 @@ from ccrisk.cli import _dump_json
 from ccrisk.gaussian import GaussianVec
 from ccrisk.risk import (
     risk_dth_order,
+    risk_exact_1d,
     risk_first_order,
+    risk_norm_spectral,
     risk_spectral,
 )
 from ccrisk.special import psi, psi_inv
@@ -22,8 +24,7 @@ from ccrisk.transcription import (
     Method,
     bound_linear_1d,
     bound_nakka_chung,
-    bound_norm_highdim,
-    bound_norm_lowdim,
+    bound_norm_spectral,
     transcribe_dth_order,
     transcribe_first_order,
     transcribe_linear_1d,
@@ -37,17 +38,30 @@ betas = st.floats(1e-6, 1 - 1e-6)
 
 
 class TestScalarBounds:
+    # bound_norm_spectral adds the sqrt(n_u) shift above control dimension 2
+    # (the high-dimensional form) and not at n_u = 1 or 2 (the low-dimensional one)
     def test_norm_highdim_zero_rho(self):
-        assert bound_norm_highdim(0.3, 4, 0.0) == 0.0
+        assert bound_norm_spectral(0.3, 4, 0.0) == 0.0
 
     def test_norm_highdim_closed_form(self):
-        assert bound_norm_highdim(math.exp(-0.5), 4, 1.0) == pytest.approx(3.0, rel=1e-12)
+        assert bound_norm_spectral(math.exp(-0.5), 4, 1.0) == pytest.approx(3.0, rel=1e-12)
 
     def test_norm_lowdim_closed_form(self):
-        assert bound_norm_lowdim(math.exp(-2.0), 1.0) == pytest.approx(2.0, rel=1e-12)
+        for n_u in (1, 2):
+            assert bound_norm_spectral(math.exp(-2.0), n_u, 1.0) == pytest.approx(2.0, rel=1e-12)
 
     def test_norm_lowdim_vanishes_near_one(self):
-        assert bound_norm_lowdim(1 - 1e-12, 1.0) == pytest.approx(0.0, abs=1e-5)
+        assert bound_norm_spectral(1 - 1e-12, 1, 1.0) == pytest.approx(0.0, abs=1e-5)
+
+    @pytest.mark.parametrize("n_u", [1, 2, 3, 6])
+    @pytest.mark.parametrize("beta", [1e-310, 1e-15, 1e-6, 1e-3, 0.3])
+    def test_norm_inverts_risk_norm_spectral(self, n_u, beta):
+        # a nominal control of norm u_max - bound has risk exactly beta
+        u_cov = np.diag(np.linspace(1.0, 0.25, n_u)) * 1e-4  # largest eigenvalue 1e-4: rho = 1e-2
+        u_max = 1.0
+        u_norm = u_max - bound_norm_spectral(beta, n_u, 1e-2)
+        u_mean = np.full(n_u, u_norm / math.sqrt(n_u))
+        assert risk_norm_spectral(u_mean, u_cov, u_max).value == pytest.approx(beta, rel=1e-9)
 
     def test_linear_1d_median(self):
         assert bound_linear_1d(0.5, 2.0) == pytest.approx(0.0, abs=1e-12)
@@ -71,8 +85,8 @@ class TestScalarBounds:
         for bound in (
             lambda b: bound_linear_1d(b, var),
             lambda b: bound_nakka_chung(b, var),
-            lambda b: bound_norm_lowdim(b, var),
-            lambda b: bound_norm_highdim(b, 3, var),
+            lambda b: bound_norm_spectral(b, 1, var),
+            lambda b: bound_norm_spectral(b, 3, var),
         ):
             values = [bound(b) for b in grid]
             assert values == sorted(values, reverse=True)
@@ -84,9 +98,9 @@ class TestScalarBounds:
         with pytest.raises(ValueError):
             bound_nakka_chung(beta, 1.0)
         with pytest.raises(ValueError):
-            bound_norm_lowdim(beta, 1.0)
+            bound_norm_spectral(beta, 1, 1.0)
         with pytest.raises(ValueError):
-            bound_norm_highdim(beta, 2, 1.0)
+            bound_norm_spectral(beta, 3, 1.0)
 
 
 class TestSpectralRadiusTranscription:
@@ -241,6 +255,16 @@ class TestScalarTranscriptions:
         transcribe, _ = METHODS[method]
         with pytest.raises(ValueError, match=f"^method '{method.value}' only applies to scalar constraints$"):
             transcribe(example_2d, 0.1)
+
+    @pytest.mark.parametrize("var", [1.0, 1.01e-4, 7.3])
+    def test_linear_1d_exact_in_the_tail(self, var):
+        # backed off by exactly its bound, a constraint is accepted and its
+        # exact risk is beta, to round-off, down to beta = 1e-300: forming
+        # 1 - beta would lose beta's digits, and round it to 1 below 1.1e-16
+        for beta in np.logspace(-300, math.log10(0.4), 400).tolist():
+            g = GaussianVec([-bound_linear_1d(beta, var)], [[var]])
+            assert transcribe_linear_1d(g, beta).satisfied
+            assert beta * (1.0 - 1e-12) <= risk_exact_1d(g).value <= beta * (1.0 + 1e-12)
 
 
 class TestMethodTable:
