@@ -7,6 +7,7 @@ computes the signed standardized margins used by the risk estimators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -29,7 +30,7 @@ class GaussianVec:
     (fail fast, with the error pointing at the construction site); the
     Cholesky factor is kept for sampling. ``mean``, ``cov`` and ``chol`` are
     read-only copies, so the quantities the estimators share
-    (``mean_nonpositive``, ``radii``, ``sqrt_lambda_max``,
+    (``mean_nonpositive``, ``sigma``, ``radii``, ``sqrt_lambda_max``,
     ``dth_order_risk``) are computed once, on first use, and cached.
     """
 
@@ -57,7 +58,14 @@ class GaussianVec:
     @cached_property
     def mean_nonpositive(self) -> bool:
         """mean <= 0 in every component: the estimators' and reference's domain."""
-        return not np.any(self.mean > 0.0)
+        return not (self.mean > 0.0).any()
+
+    @cached_property
+    def sigma(self) -> np.ndarray:
+        """Marginal standard deviations sqrt(diag(cov)) (read-only)."""
+        s = np.sqrt(self.cov.diagonal())
+        s.flags.writeable = False
+        return s
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -66,7 +74,7 @@ class GaussianVec:
         Positive entries mean the nominal constraint i is satisfied; negative
         entries mean it is violated.
         """
-        r = -self.mean / np.sqrt(np.diag(self.cov))
+        r = -self.mean / self.sigma
         r.flags.writeable = False
         return r
 
@@ -74,7 +82,7 @@ class GaussianVec:
     def sqrt_lambda_max(self) -> float:
         """Square root of the largest covariance eigenvalue, which is
         positive: the covariance passed the Cholesky pivot test."""
-        return float(np.sqrt(np.linalg.eigvalsh(self.cov)[-1]))
+        return math.sqrt(np.linalg.eigvalsh(self.cov)[-1])
 
     @cached_property
     def dth_order_risk(self) -> float:

@@ -43,8 +43,8 @@ def as_symmetric(S) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    scale = max(np.max(np.abs(S)), 1.0) if S.size else 1.0
-    if np.max(np.abs(S - S.T), initial=0.0) > _SYM_RTOL * scale:
+    scale = max(np.abs(S).max(initial=0.0), 1.0)
+    if np.abs(S - S.T).max(initial=0.0) > _SYM_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (S + S.T)
 
@@ -55,17 +55,18 @@ def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
     ``tol`` (default: _CHOL_PIVOT_RTOL times the largest diagonal entry) or
     NaN raises NotPositiveDefiniteError naming j."""
     if tol is None:
-        tol = _CHOL_PIVOT_RTOL * max(float(np.max(np.diag(S), initial=0.0)), 0.0)
+        tol = _CHOL_PIVOT_RTOL * max(float(S.diagonal().max(initial=0.0)), 0.0)
     try:
         M = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
         # numpy drops LAPACK's index: the last pivot, unless a leading block fails first
         _cholesky(S[:-1, :-1], tol)
         raise NotPositiveDefiniteError(f"pivot at index {len(S) - 1} not positive, tolerance {tol:.3e}") from None
-    pivots = np.diag(M) ** 2
-    low = np.flatnonzero(~(pivots > tol))
-    if low.size:
-        raise NotPositiveDefiniteError(f"pivot {pivots[low[0]]:.3e} at index {low[0]} below tolerance {tol:.3e}")
+    pivots = M.diagonal() ** 2
+    # initial: the recursion above reaches an empty leading block
+    if not pivots.min(initial=np.inf) > tol:
+        j = np.flatnonzero(~(pivots > tol))[0]
+        raise NotPositiveDefiniteError(f"pivot {pivots[j]:.3e} at index {j} below tolerance {tol:.3e}")
     return M
 
 

@@ -7,6 +7,7 @@ reference used to measure conservatism.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -133,7 +134,8 @@ def risk_norm_spectral(u_mean, u_cov, u_max: float) -> RiskEstimate:
     if margin >= 0.0:
         raise ValueError("nominal control violates the norm constraint")
     rho = spectral_radius_sqrt(u_cov)
-    scaled = margin / rho
+    # a deterministic control inside the bound has risk exp(-inf) = 0
+    scaled = margin / rho if rho > 0.0 else -math.inf
     if n_u > 2:
         scaled += math.sqrt(n_u)
         if scaled > 0.0:
@@ -145,14 +147,14 @@ def risk_spectral(g: GaussianVec) -> RiskEstimate:
     """Spectral-radius risk bound psi(min(-mean) / rho(cov), d)."""
     if not g.mean_nonpositive:
         return RiskEstimate("spectral", None, defined=False)
-    return RiskEstimate("spectral", special.psi(float(np.min(-g.mean)) / g.sqrt_lambda_max, g.dim))
+    return RiskEstimate("spectral", special.psi(-float(g.mean.max()) / g.sqrt_lambda_max, g.dim))
 
 
 def risk_first_order(g: GaussianVec) -> RiskEstimate:
     """First-order risk bound psi(min r, d) from the standardized margins."""
     if not g.mean_nonpositive:
         return RiskEstimate("first_order", None, defined=False)
-    return RiskEstimate("first_order", special.psi(float(np.min(g.radii)), g.dim))
+    return RiskEstimate("first_order", special.psi(float(g.radii.min()), g.dim))
 
 
 def dth_order_value(radii) -> float:
@@ -170,11 +172,10 @@ def dth_order_value(radii) -> float:
     widths sum to 1 - psi(r_d), but adds only nonnegative terms, so it
     keeps its relative accuracy in the deep tail where 1 - (...) cancels.
 
-    One pass evaluates psi over the radii and the sector fractions over the
-    ratio matrix r_j / r_i, clamped to 1 so that j >= i adds exactly 0.
-    Rows start at the first nonzero radius and never at the first radius:
-    the first shell has nothing closer to cut it, and a zero radius has a
-    zero-width shell.
+    One pass evaluates psi over the radii and the sector fractions at the
+    d(d - 1)/2 ratios r_j / r_i with j < i, each at most 1. Rows start at
+    the first nonzero radius and never at the first radius: the first shell
+    has nothing closer to cut it, and a zero radius has a zero-width shell.
     """
     r = np.array(radii, dtype=float, ndmin=1)
     r.sort()
@@ -183,13 +184,30 @@ def dth_order_value(radii) -> float:
         raise ValueError("radii must be finite and nonnegative")
     p = special.psi_array(r, d)
     k = max(int(r.searchsorted(0.0, "right")), 1)
-    cut = special.sector_fraction_array(np.minimum(r / r[k:, None], 1.0), d).sum(axis=1)
+    at, i, j = _closer_pairs(d, k)
+    # every other entry is exactly 0: r_j / r_i >= 1 there, and
+    # sector_fraction(1) is 0, so the row sums are those of the full matrix
+    fractions = np.zeros((d - k, d))
+    fractions.ravel()[at] = special.sector_fraction_array(r[j] / r[i], d)
+    cut = fractions.sum(axis=1)
     width = p[k - 1 : -1] - p[k:]
     value = float(p[-1] + width @ np.minimum(1.0, 0.5 * cut))
     # value >= psi(r_d) holds by construction and value <= psi(r_1) in
     # exact arithmetic; clamping the upper end to the same psi expression
     # risk_first_order evaluates keeps beta_d <= beta_1 exact under round-off.
     return min(value, float(p[0]))
+
+
+@functools.lru_cache
+def _closer_pairs(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only indices of the pairs j < i, i >= k: their flat positions
+    in ``dth_order_value``'s (d - k) x d sector-fraction matrix, whose row
+    i - k holds shell i, and their i and j."""
+    rows, j = np.tril_indices(d - k, k - 1, d)
+    pairs = (rows * d + j, rows + k, j)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
 
 
 def risk_dth_order(g: GaussianVec) -> RiskEstimate:

@@ -20,6 +20,7 @@ and an array evaluation at the same point agree bitwise.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from scipy import special as _sp
@@ -69,6 +70,9 @@ def psi_array(r, d: int):
     return _sp.gammaincc(d / 2.0, r * r / 2.0)
 
 
+# memoized: a constraint's transcriptions all ask for the same (beta, d);
+# typed, so that 6.0 or True is not served the result cached for 6 or 1
+@functools.lru_cache(typed=True)
 def psi_inv(beta: float, d: int) -> float:
     """Inverse of ``psi`` on r >= 0: the radius with tail probability beta.
 

@@ -89,11 +89,12 @@ def bound_nakka_chung(beta: float, var_y: float) -> float:
     beta = _check_beta(beta)
     if var_y <= 0.0:
         raise ValueError("variance must be positive")
-    return math.sqrt((1.0 - beta) / beta * var_y)
+    # sqrt(beta) apart: (1 - beta) / beta * var_y overflows below beta ~ 5.6e-309
+    return math.sqrt((1.0 - beta) * var_y) / math.sqrt(beta)
 
 
 def _verdict(method: Method, beta: float, margins: np.ndarray) -> TranscriptionVerdict:
-    return TranscriptionVerdict(method, beta, margins, bool(np.all(margins <= 0.0)))
+    return TranscriptionVerdict(method, beta, margins, bool((margins <= 0.0).all()))
 
 
 def transcribe_spectral_radius(g: GaussianVec, beta: float) -> TranscriptionVerdict:
@@ -108,8 +109,7 @@ def transcribe_first_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     """Back off each component by psi_inv(beta, d) times its own standard
     deviation."""
     beta = _check_beta(beta)
-    sigma = np.sqrt(np.diag(g.cov))
-    return _verdict(Method.FIRST_ORDER, beta, g.mean + psi_inv(beta, g.dim) * sigma)
+    return _verdict(Method.FIRST_ORDER, beta, g.mean + psi_inv(beta, g.dim) * g.sigma)
 
 
 def transcribe_dth_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:

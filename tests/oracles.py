@@ -3,6 +3,8 @@
 Plain Monte-Carlo counting (``mc_risk``, ``mc_sector_probability``) with a
 Wilson interval, and seeded sampling of a ``GaussianVec`` (``sample``). The
 tests hold the closed forms and the directional reference to them.
+``dth_order_full_matrix`` is the d-th-order value summed over the whole
+ratio matrix, which the library's value must match bit for bit.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betainc, gammaincc
 
 from ccrisk.gaussian import GaussianVec
 from ccrisk.risk import McEstimate
@@ -112,3 +115,21 @@ def sample(g: GaussianVec, n: int, seed: int) -> np.ndarray:
     rng = np.random.Generator(np.random.Philox(np.uint64(seed)))
     z = rng.standard_normal((int(n), g.dim))
     return g.mean + z @ g.chol.T
+
+
+def dth_order_full_matrix(radii) -> float:
+    """``risk.dth_order_value`` with the sector fractions evaluated on the
+    whole (d - k) x d ratio matrix r_j / r_i, clamped to 1 so that every
+    pair j >= i adds exactly 0, and the chi tail and sector fraction
+    written out from scipy. The library evaluates only the pairs j < i."""
+    r = np.array(radii, dtype=float, ndmin=1)
+    r.sort()
+    d = r.shape[0]
+    p = gammaincc(d / 2.0, r * r / 2.0)
+    k = max(int(r.searchsorted(0.0, "right")), 1)
+    with np.errstate(over="ignore"):  # r_j / r_i overflows above a subnormal r_i
+        c = np.minimum(r / r[k:, None], 1.0)
+    cut = betainc((d - 1) / 2.0, 0.5, 1.0 - c * c).sum(axis=1)
+    width = p[k - 1 : -1] - p[k:]
+    value = float(p[-1] + width @ np.minimum(1.0, 0.5 * cut))
+    return min(value, float(p[0]))

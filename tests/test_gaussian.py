@@ -53,6 +53,41 @@ class TestGaussianVec:
         with pytest.raises(ValueError, match="finite"):
             GaussianVec(mean, cov)
 
+    @pytest.mark.parametrize(
+        "mean, cov, error, message",
+        [
+            # finiteness is checked first, ahead of the shape and symmetry checks
+            ([math.nan, -1.0], np.eye(2), ValueError, "mean and cov must be finite"),
+            ([-1.0, -1.0], [[1.0, math.nan], [0.0, 1.0]], ValueError, "mean and cov must be finite"),
+            ([-1.0, -1.0], [[1.0, math.nan, 0.0], [0.0, 1.0, 0.0]], ValueError, "mean and cov must be finite"),
+            ([[-1.0]], [[1.0]], ValueError, "mean must be a vector, got shape (1, 1)"),
+            ([-1.0, -1.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], ValueError, "expected a square matrix, got shape (2, 3)"),
+            ([-1.0], [1.0], ValueError, "expected a square matrix, got shape (1,)"),
+            # symmetry before the length match and the pivots
+            ([-1.0, -1.0, -1.0], [[1.0, 0.5], [0.0, 1.0]], ValueError, "matrix is not symmetric within tolerance"),
+            ([-1.0, -1.0], [[1.0, 2.0], [2.5, 1.0]], ValueError, "matrix is not symmetric within tolerance"),
+            # the length match before the pivots
+            ([-1.0], [[1.0, 2.0], [2.0, 1.0]], ValueError, "mean has length 1 but cov is (2, 2)"),
+            (
+                [-1.0, -1.0],
+                [[1.0, 2.0], [2.0, 1.0]],
+                NotPositiveDefiniteError,
+                "pivot at index 1 not positive, tolerance 1.000e-13",
+            ),
+            (
+                [-1.0, -1.0],
+                [[1.0, 1.0], [1.0, 1.0 + 1e-15]],
+                NotPositiveDefiniteError,
+                "pivot 1.110e-15 at index 1 below tolerance 1.000e-13",
+            ),
+            ([-1.0], [[0.0]], NotPositiveDefiniteError, "pivot at index 0 not positive, tolerance 0.000e+00"),
+        ],
+    )
+    def test_first_failing_check_names_the_fault(self, mean, cov, error, message):
+        with pytest.raises(ValueError) as info:
+            GaussianVec(mean, cov)
+        assert type(info.value) is error and str(info.value) == message
+
     def test_input_mutation_leaves_it_unchanged(self):
         m = np.array([-1.0, -2.0])
         c = np.array([[1.0, 0.2], [0.2, 1.0]])
@@ -63,7 +98,7 @@ class TestGaussianVec:
         assert np.array_equal(g.cov, [[1.0, 0.2], [0.2, 1.0]])
         assert np.array_equal(g.radii, [1.0, 2.0])
 
-    @pytest.mark.parametrize("name", ["mean", "cov", "chol", "radii"])
+    @pytest.mark.parametrize("name", ["mean", "cov", "chol", "sigma", "radii"])
     def test_arrays_read_only(self, example_2d, name):
         arr = getattr(example_2d, name)
         with pytest.raises(ValueError, match="read-only"):
@@ -72,7 +107,7 @@ class TestGaussianVec:
             arr += 1.0
 
     def test_cached_values_are_computed_once(self, example_2d):
-        for name in ("radii", "sqrt_lambda_max", "dth_order_risk"):
+        for name in ("sigma", "radii", "sqrt_lambda_max", "dth_order_risk"):
             assert getattr(example_2d, name) is getattr(example_2d, name)
 
     @pytest.mark.parametrize(

@@ -242,6 +242,20 @@ class TestDthOrder:
         assert value == pytest.approx(float(mp_shell_sum(-g.mean)), rel=1e-12, abs=0)
         assert value >= float(mp_independent_risk(-g.mean))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda d: st.lists(
+                st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 2.5, 4.0]), st.floats(0.0, 8.0)),
+                min_size=d,
+                max_size=d,
+            )
+        )
+    )
+    def test_bitwise_equal_to_full_matrix(self, radii):
+        # zeros and ties (drawn from a small pool), in any order
+        assert dth_order_value(radii) == oracles.dth_order_full_matrix(radii)
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(0.5, 12.0), min_size=2, max_size=8))
     def test_upper_bounds_independent_risk(self, radii):

@@ -195,6 +195,16 @@ class TestPsiInv:
         with pytest.raises(ValueError):
             psi_inv(0.0, 3)
 
+    def test_memo_keeps_the_dof_type_check(self):
+        # 6.0 == 6 and True == 1 hash alike; the memo must not serve them
+        # the results cached for 6 and 1
+        psi_inv(1e-3, 6)
+        psi_inv(0.5, 1)
+        with pytest.raises(ValueError, match="must be an int"):
+            psi_inv(1e-3, 6.0)
+        with pytest.raises(ValueError, match="must be an int"):
+            psi_inv(0.5, True)
+
 
 class TestRegIncBeta:
     def test_endpoints(self):

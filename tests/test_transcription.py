@@ -4,6 +4,7 @@ methods, tightness at the matching risk level, and the dominance chain."""
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -63,12 +64,32 @@ class TestScalarBounds:
         u_mean = np.full(n_u, u_norm / math.sqrt(n_u))
         assert risk_norm_spectral(u_mean, u_cov, u_max).value == pytest.approx(beta, rel=1e-9)
 
+    @pytest.mark.parametrize("n_u", [1, 2, 3])
+    def test_norm_zero_covariance(self, n_u):
+        # a deterministic control needs no backoff, and inside the bound it
+        # has risk 0
+        assert bound_norm_spectral(1e-3, n_u, 0.0) == 0.0
+        est = risk_norm_spectral(np.full(n_u, 0.1), np.zeros((n_u, n_u)), 1.0)
+        assert est.defined and est.value == 0.0
+
     def test_linear_1d_median(self):
         assert bound_linear_1d(0.5, 2.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_1d_quantile(self):
         assert bound_linear_1d(0.025, 1.0) == pytest.approx(1.959964, abs=1e-6)
         assert bound_linear_1d(0.025, 4.0) == pytest.approx(3.919928, abs=2e-6)
+
+    @pytest.mark.parametrize("beta", [1e-310, 1e-15, 1e-3, 0.3])
+    @pytest.mark.parametrize("var", [1e-4, 1.0, 2.5e3])
+    def test_nakka_chung_against_mpmath(self, beta, var):
+        with mpmath.workdps(40):
+            exact = mpmath.sqrt((1 - mpmath.mpf(beta)) / mpmath.mpf(beta) * mpmath.mpf(var))
+        assert bound_nakka_chung(beta, var) == pytest.approx(float(exact), rel=1e-15, abs=0)
+
+    def test_nakka_chung_finite_below_double_range_of_one_over_beta(self):
+        # (1 - beta) / beta overflows at beta = 1e-310; the backoff is ~1e155
+        verdict = transcribe_nakka_chung(GaussianVec([-1e200], [[1.0]]), 1e-310)
+        assert verdict.satisfied and math.isfinite(verdict.margins[0])
 
     def test_nakka_chung_values(self):
         assert bound_nakka_chung(0.5, 1.0) == pytest.approx(1.0, rel=1e-12)
