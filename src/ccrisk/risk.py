@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfc, erfcx, ndtr
 
 from . import special
 from .gaussian import GaussianVec
@@ -143,22 +143,29 @@ def risk_norm_spectral(u_mean, u_cov, u_max: float) -> RiskEstimate:
     return RiskEstimate("norm_spectral", min(math.exp(-0.5 * scaled * scaled), 1.0))
 
 
+def _margin_tail(r: float, d: int) -> float:
+    """psi(r, d) of a nonnegative margin; 0 for r = inf, a margin beyond
+    double range, which is never crossed."""
+    return special.psi(r, d) if r < math.inf else 0.0
+
+
 def risk_spectral(g: GaussianVec) -> RiskEstimate:
     """Spectral-radius risk bound psi(min(-mean) / rho(cov), d)."""
     if not g.mean_nonpositive:
         return RiskEstimate("spectral", None, defined=False)
-    return RiskEstimate("spectral", special.psi(-float(g.mean.max()) / g.sqrt_lambda_max, g.dim))
+    return RiskEstimate("spectral", _margin_tail(-float(g.mean.max()) / g.sqrt_lambda_max, g.dim))
 
 
 def risk_first_order(g: GaussianVec) -> RiskEstimate:
     """First-order risk bound psi(min r, d) from the standardized margins."""
     if not g.mean_nonpositive:
         return RiskEstimate("first_order", None, defined=False)
-    return RiskEstimate("first_order", special.psi(float(g.radii.min()), g.dim))
+    return RiskEstimate("first_order", _margin_tail(float(g.radii.min()), g.dim))
 
 
 def dth_order_value(radii) -> float:
-    """d-th-order risk from nonnegative standardized margins.
+    """d-th-order risk from nonnegative standardized margins; an infinite
+    margin has psi = 0 and a ratio of 0 against it.
 
     With the radii sorted, r_1 <= ... <= r_d, shell i is the spherical
     shell between r_{i-1} and r_i (r_0 = 0) and has probability
@@ -180,15 +187,19 @@ def dth_order_value(radii) -> float:
     r = np.array(radii, dtype=float, ndmin=1)
     r.sort()
     d = r.shape[0]
-    if not (r[0] >= 0.0 and r[-1] < math.inf):
-        raise ValueError("radii must be finite and nonnegative")
+    if not (r[0] >= 0.0 and r[-1] <= math.inf):
+        raise ValueError("radii must be nonnegative and not NaN")
     p = special.psi_array(r, d)
     k = max(int(r.searchsorted(0.0, "right")), 1)
     at, i, j = _closer_pairs(d, k)
     # every other entry is exactly 0: r_j / r_i >= 1 there, and
     # sector_fraction(1) is 0, so the row sums are those of the full matrix
     fractions = np.zeros((d - k, d))
-    fractions.ravel()[at] = special.sector_fraction_array(r[j] / r[i], d)
+    rj = r[j]
+    if r[-1] == math.inf:
+        # inf / inf would be NaN; a ratio against an infinite radius is 0
+        rj[rj == math.inf] = 0.0
+    fractions.ravel()[at] = special.sector_fraction_array(rj / r[i], d)
     cut = fractions.sum(axis=1)
     width = p[k - 1 : -1] - p[k:]
     value = float(p[-1] + width @ np.minimum(1.0, 0.5 * cut))
@@ -257,8 +268,9 @@ def directional_risks(gs, n: int, seeds) -> list[McEstimate]:
     sizes = [min(_BLOCK, pairs - start) for start in range(0, pairs, _BLOCK)]
     tasks = []
     for g, seed in zip(gs, seeds):
-        with np.errstate(divide="ignore"):
-            # +inf at a zero mean component, whose constraint is active at the origin
+        with np.errstate(divide="ignore", over="ignore"):
+            # +inf at a zero mean component, whose constraint is active at the
+            # origin, and at a subnormal one, which is as good as zero
             inv_margin = 1.0 / np.abs(g.mean)
         tasks += [(g.chol, inv_margin, seed, b, m) for b, m in enumerate(sizes)]
     sums = _map(_directional_block, tasks)
@@ -322,14 +334,70 @@ def _directional_block(task) -> tuple[float, float, int]:
     a *= inv_margin[:, None]
     norm = np.sqrt(np.einsum("ij,ij->i", z, z))
     # errstate is a context variable, so a pool thread needs its own
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         # exit radius of the rays along z and -z; inf (psi = 0) for a
-        # ray with no positive entry, which never leaves the safe set
+        # ray with no positive entry, which never leaves the safe set,
+        # and for one whose margins lie beyond double range
         t = norm / np.maximum(np.stack((a.max(axis=0), -a.min(axis=0))), 0.0)
-    p = special.psi_array(t, d)
+        p = _chi_tail(t, d)
     v = 0.5 * (p[0] + p[1])
     s = float(v.sum())
     return s, float(np.square(v - s / m).sum()), m
+
+
+# the finite sum's largest dimension: beyond it the partial sums of the
+# exponential series overflow a double where psi is still above 0
+_SUM_MAX_D = 500
+# psi(t, d) is 0 in double beyond t^2 / 2 = 1500 for every d <= _SUM_MAX_D
+_SUM_MAX_T = math.sqrt(2.0 * 1500.0)
+
+
+def _chi_tail(t, d: int):
+    """``special.psi_array(t, d)`` over a block's exit radii t >= 0, inf
+    included, by the finite sum the chi tail has at the shapes d / 2
+    (Abramowitz & Stegun 26.4): with x = t^2 / 2 and
+    h = (d mod 2) / 2,
+
+        psi(t, d) = e^-x (sum_{k < floor(d/2)} x^(k+h) / Gamma(k+h+1) [+ erfcx(sqrt x), d odd]),
+
+    and erfc(t / sqrt 2) at d = 1. Every term is positive, so it keeps
+    the relative accuracy of gammaincc into the deep tail at a fraction of
+    its cost per element. The sum runs as a Horner loop in place. e^-x is
+    applied as two factors e^(-x/2), because one factor underflows where
+    psi is still near 1e-300 at d = 25. Capping t at _SUM_MAX_T keeps the
+    sum finite, so t = inf gives exactly 0. Above _SUM_MAX_D the sum
+    overflows and gammaincc is the only evaluation.
+
+    The estimators keep ``special.psi_array``: on their arrays of at most
+    d elements NumPy's per-call cost outweighs what the sum saves."""
+    if d > _SUM_MAX_D:
+        return special.psi_array(t, d)
+    if d == 1:
+        return erfc(t * math.sqrt(0.5))
+    n, odd = divmod(d, 2)
+    h = 0.5 * odd
+    x = np.minimum(t, _SUM_MAX_T)
+    x *= x
+    x *= 0.5
+    # sum_{k<n} x^(k+h) / Gamma(k+h+1)
+    #   = x^h c (1 + x/(1+h) (1 + x/(2+h) (... (1 + x/(n-1+h))))), c = 1 / Gamma(1+h)
+    c = 1.0 / math.gamma(1.0 + h)
+    s = np.full_like(x, c)
+    for k in range(n - 1, 0, -1):
+        s *= x
+        s *= 1.0 / (k + h)
+        s += c
+    e = np.multiply(x, -0.5)
+    np.exp(e, out=e)
+    if odd:
+        # erfc(sqrt x) = e^-x erfcx(sqrt x); erfc alone flushes to 0 below
+        # 2e-308, which at d = 9 is still 3e-11 of psi near 1e-300
+        r = np.sqrt(x, out=x)
+        s *= r
+        s += erfcx(r, out=r)
+    s *= e
+    s *= e
+    return s
 
 
 def _merge_blocks(sums, n: int, seed: int) -> McEstimate:

@@ -16,6 +16,14 @@ their arguments; ``psi_array`` and ``sector_fraction_array`` evaluate the
 same expressions elementwise, unvalidated, for callers that already hold
 checked arrays. Each formula is written once, in the array form, so a scalar
 and an array evaluation at the same point agree bitwise.
+
+The one other evaluation of ``psi`` is the directional reference kernel's
+own, ``risk._chi_tail``: the finite sum the chi tail has at the shapes d/2,
+3 to 11 times cheaper per element than ``gammaincc`` on the kernel's
+32,768-element blocks. It is separate because it pays only there:
+on the estimators' arrays of at most d elements its per-call NumPy
+overhead is larger than ``gammaincc``'s, and the estimators need the scalar
+and array forms here to agree bitwise.
 """
 
 from __future__ import annotations
@@ -65,8 +73,8 @@ def psi(r: float, d: int) -> float:
 
 
 def psi_array(r, d: int):
-    """``psi`` elementwise over nonnegative finite radii (a float or an
-    array), without validation."""
+    """``psi`` elementwise over nonnegative radii (a float or an array;
+    +inf gives 0), without validation."""
     return _sp.gammaincc(d / 2.0, r * r / 2.0)
 
 

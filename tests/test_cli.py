@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,25 @@ class TestCheck:
         assert err.startswith('error: "beta" must be a number') and err.count("\n") == 1
         # the line shows a shortened value, not all 401 digits
         assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
+        "mean,cov", [([-1e200, -1e-149], [[1e-300, 0], [0, 1e-300]]), ([-1e200], [[1e-300]])], ids=["d2", "d1"]
+    )
+    def test_margin_beyond_double_range(self, mean, cov, tmp_path, capsys):
+        # -mean / sigma overflows: a constraint safe beyond double range
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"mean": mean, "cov": cov, "beta": 1e-3}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["--mc-samples", "2000", "check", "--mc", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        report = json.loads(out)
+        assert all(v["satisfied"] for v in report["verdicts"])
+        if len(mean) == 1:
+            assert [e["value"] for e in report["risk_estimates"]] == [0.0, 0.0, 0.0]
+            assert report["conservatism"]["beta_r"]["estimate"] == 0.0
+            assert report["conservatism"]["hierarchy_ok"] is True
 
     def test_linear_1d_beyond_one_minus_beta_rounding(self, check_cli):
         # 1 - 1e-17 rounds to 1; the exact backoff never forms it

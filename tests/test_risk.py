@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainccinv
 
 from ccrisk import risk
 from ccrisk.cli import _dump_json
@@ -444,6 +445,71 @@ class TestDirectionalParallel:
         assert child == expected
 
 
+class TestChiTail:
+    """The reference kernel's own chi tail against mpmath, from psi = 1
+    down to psi = 1e-300, on both sides of the largest dimension its
+    finite sum serves."""
+
+    DIMS = [*range(1, 51), risk._SUM_MAX_D, risk._SUM_MAX_D + 1]
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_relative_accuracy_into_deep_tail(self, d):
+        # the reference's interval has a half-width of at least 1e-12 of
+        # the estimate, the relative accuracy of psi itself
+        t = np.linspace(0.0, math.sqrt(2.0 * gammainccinv(d / 2, 1e-300)), 41)
+        got = risk._chi_tail(t, d)
+        for x, value in zip(t, got):
+            want = mpmath.gammainc(mpmath.mpf(d) / 2, mpmath.mpf(x) ** 2 / 2, mpmath.inf, regularized=True)
+            assert value == pytest.approx(float(want), rel=1e-12, abs=0), x
+
+    @pytest.mark.parametrize("d", DIMS[:-1])
+    def test_exact_at_zero_and_beyond_double_range(self, d):
+        # no overflow or NaN on the way: only the final factors underflow
+        with np.errstate(all="raise", under="ignore"):
+            got = risk._chi_tail(np.array([0.0, math.inf, 1e200, risk._SUM_MAX_T]), d)
+        assert got.tolist() == [1.0, 0.0, 0.0, 0.0]
+
+
+class TestMarginBeyondDoubleRange:
+    """-mean / sigma overflows to +inf: a constraint that is never violated."""
+
+    @pytest.fixture(autouse=True)
+    def _no_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            yield
+
+    def test_estimators(self):
+        g = GaussianVec([-1e200, -1e-149], np.diag([1e-300, 1e-300]))
+        assert g.radii.tolist() == [math.inf, 10.0]
+        tail = math.exp(-50.0)  # psi(10, 2)
+        assert risk_spectral(g).value == pytest.approx(tail, rel=1e-12)
+        assert risk_first_order(g).value == pytest.approx(tail, rel=1e-12)
+        # the shell beyond r = 10 is cut in half by the near constraint
+        assert risk_dth_order(g).value == pytest.approx(tail / 2, rel=1e-12)
+
+    def test_scalar_is_zero(self):
+        g = scalar(-1e200, 1e-300)
+        assert g.radii.tolist() == [math.inf]
+        for estimate in (risk_spectral, risk_first_order, risk_dth_order, risk_exact_1d, risk_nakka_chung):
+            assert estimate(g).value == 0.0
+        assert directional_risk(g, 1000, 0).estimate == 0.0
+
+    @pytest.mark.parametrize(
+        "radii,want",
+        [([math.inf], 0.0), ([math.inf, math.inf], 0.0), ([math.inf, 1.0, math.inf], 0.5 * psi(1.0, 3))],
+        ids=["one", "two", "between"],
+    )
+    def test_dth_order_value(self, radii, want):
+        assert dth_order_value(radii) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_reference(self):
+        g = GaussianVec([-1e200, -1e-149], np.diag([1e-300, 1e-300]))
+        ds = directional_risk(g, 10**4, 3)
+        truth = float(mpmath.ncdf(-10))
+        assert abs(ds.estimate - truth) <= 5 * ds.ci_halfwidth
+
+
 def _correlated_gaussian(kind, d, seed, lo):
     """A random, equicorrelated or near-rank-2 covariance with standardized
     margins drawn from [lo, 7]."""
@@ -464,7 +530,8 @@ def _correlated_gaussian(kind, d, seed, lo):
 
 
 class TestDirectionalRisk:
-    @pytest.mark.parametrize("k", range(1, 10))
+    # k = 37 puts the risk at 5.7e-300
+    @pytest.mark.parametrize("k", [*range(1, 10), 12, 20, 30, 37])
     @pytest.mark.parametrize("sigma", [0.7, 3.1])
     def test_d1_exact(self, k, sigma):
         truth = float(mpmath.ncdf(-k))
