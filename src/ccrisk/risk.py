@@ -331,10 +331,11 @@ def _directional_block(task) -> tuple[float, float, int]:
     # L / -mean would put 0 * inf = nan in L's zero triangle when a mean
     # component is zero
     a = np.matmul(chol, z.T, out=buf[m * d : 2 * m * d].reshape(d, m))
-    a *= inv_margin[:, None]
     norm = np.sqrt(np.einsum("ij,ij->i", z, z))
     # errstate is a context variable, so a pool thread needs its own
     with np.errstate(divide="ignore", over="ignore"):
+        # overflows to +-inf where a tiny margin meets a wide spread
+        a *= inv_margin[:, None]
         # exit radius of the rays along z and -z; inf (psi = 0) for a
         # ray with no positive entry, which never leaves the safe set,
         # and for one whose margins lie beyond double range

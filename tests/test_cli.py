@@ -176,10 +176,17 @@ class TestCheck:
         assert len(err.encode()) < 300
 
     @pytest.mark.parametrize(
-        "mean,cov", [([-1e200, -1e-149], [[1e-300, 0], [0, 1e-300]]), ([-1e200], [[1e-300]])], ids=["d2", "d1"]
+        "mean,cov",
+        [
+            ([-1e200, -1e-149], [[1e-300, 0], [0, 1e-300]]),
+            ([-1e200], [[1e-300]]),
+            # the margin is tiny, but the reference's scaled directions overflow
+            ([-1e-300], [[1e20]]),
+        ],
+        ids=["d2", "d1", "d1-wide"],
     )
     def test_margin_beyond_double_range(self, mean, cov, tmp_path, capsys):
-        # -mean / sigma overflows: a constraint safe beyond double range
+        # -mean / sigma or its reciprocal overflows; neither may warn or fail
         path = tmp_path / "in.json"
         path.write_text(json.dumps({"mean": mean, "cov": cov, "beta": 1e-3}))
         with warnings.catch_warnings():
@@ -188,8 +195,9 @@ class TestCheck:
         out, err = capsys.readouterr()
         assert (code, err) == (EXIT_OK, "")
         report = json.loads(out)
-        assert all(v["satisfied"] for v in report["verdicts"])
-        if len(mean) == 1:
+        # the nominal margin 1e-310 leaves risk 1/2, far above beta
+        assert all(v["satisfied"] for v in report["verdicts"]) == (mean[0] == -1e200)
+        if mean == [-1e200]:
             assert [e["value"] for e in report["risk_estimates"]] == [0.0, 0.0, 0.0]
             assert report["conservatism"]["beta_r"]["estimate"] == 0.0
             assert report["conservatism"]["hierarchy_ok"] is True

@@ -509,6 +509,12 @@ class TestMarginBeyondDoubleRange:
         truth = float(mpmath.ncdf(-10))
         assert abs(ds.estimate - truth) <= 5 * ds.ci_halfwidth
 
+    def test_reference_direction_beyond_double_range(self):
+        # 1 / |mean| = 1e300 times (L z) ~ 1e10 overflows in the block kernel;
+        # the margin itself is 1e-310, so the risk is 1/2
+        g = scalar(-1e-300, 1e20)
+        assert directional_risk(g, 1000, 0).estimate == pytest.approx(0.5, rel=1e-12)
+
 
 def _correlated_gaussian(kind, d, seed, lo):
     """A random, equicorrelated or near-rank-2 covariance with standardized
