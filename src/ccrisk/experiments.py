@@ -6,13 +6,14 @@ the flags, formats the records and picks the exit code.
 All randomness is seeded, so identical arguments give identical records.
 Risks are probabilities in [0, 1]; only the CLI's tables print percentages.
 
-Reference sizing: the reference risk comes from directional simulation
-(``risk.directional_risks``), and ``mc_samples`` counts its directions,
-drawn as antithetic pairs. Each direction contributes the exact chi-tail
-mass beyond the point where its ray leaves the safe set, so the count need
-not grow like 1/risk: at d = 1 (table1) every pair gives the exact risk,
-and at table2's d = 6 risk of 6.7e-6 the CLI's default 1e7 directions
-reach a relative standard error of about 0.3%.
+Reference sizing: every experiment draws its reference risk through
+``conservatism.hierarchy_reports``, by directional simulation, and
+``mc_samples`` counts its directions, drawn as antithetic pairs. Each
+direction contributes the exact chi-tail mass beyond the point where its
+ray leaves the safe set, so the count need not grow like 1/risk: at d = 1
+(table1) every pair gives the exact risk, and at table2's d = 6 risk of
+6.7e-6 the CLI's default 1e7 directions reach a relative standard error of
+about 0.3%.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .conservatism import gamma_or_inf, hierarchy_report, hierarchy_reports
 from .fixtures import DEFAULT_FIXTURE, DEFAULT_TARGET_STATE, box_constraint_distribution
 from .gaussian import GaussianVec
 from .linalg import NotPositiveDefiniteError
-from .risk import directional_risk, risk_first_order, risk_nakka_chung, risk_norm_spectral
+from .risk import risk_first_order, risk_nakka_chung, risk_norm_spectral
 from .special import psi_inv
 from .transcription import METHODS
 
@@ -134,6 +135,16 @@ def run_sweep(dims, n_dists: int, beta: float, mc_samples: int, seed: int) -> li
 # Table reproductions
 # ---------------------------------------------------------------------------
 
+def _rows(ref, estimates) -> list[dict]:
+    """A table's rows: the reference's ``mc_true`` row unless ``ref`` is
+    None, then each ``RiskEstimate`` with its conservatism against it."""
+    rows = [] if ref is None else [{"method": "mc_true", "risk": ref.estimate, "conservatism": None}]
+    for e in estimates:
+        gamma = None if ref is None else gamma_or_inf(e.value, ref.estimate)
+        rows.append({"method": e.method, "risk": e.value, "conservatism": gamma})
+    return rows
+
+
 def run_table1(mc_samples: int, seed: int) -> dict:
     """Control-magnitude constraint comparison on ``DEFAULT_FIXTURE``.
 
@@ -142,15 +153,9 @@ def run_table1(mc_samples: int, seed: int) -> dict:
     covariance. With mc_samples = 0 only the risks are reported.
     """
     g = DEFAULT_FIXTURE.control_constraint()
-    rows = []
-    ref = None
-    if mc_samples > 0:
-        ref = directional_risk(g, mc_samples, seed)
-        rows.append({"method": "mc_true", "risk": ref.estimate, "conservatism": None})
+    ref = hierarchy_report(g, mc_samples, seed).beta_r if mc_samples > 0 else None
     spectral = risk_norm_spectral(DEFAULT_FIXTURE.u0_mean, DEFAULT_FIXTURE.sigma_u0, DEFAULT_FIXTURE.u_max)
-    for est in (spectral, risk_nakka_chung(g), risk_first_order(g)):
-        gamma = None if ref is None else gamma_or_inf(est.value, ref.estimate)
-        rows.append({"method": est.method, "risk": est.value, "conservatism": gamma})
+    rows = _rows(ref, (spectral, risk_nakka_chung(g), risk_first_order(g)))
     return {
         "table": "control_magnitude",
         "mc_samples": mc_samples,
@@ -176,17 +181,12 @@ def run_table2(target_state, mc_samples: int, seed: int) -> dict:
     reports = hierarchy_reports(gs, mc_samples, [_sub_seed(seed, d) for _, d in layout])
     sections = []
     for (position_only, d), report in zip(layout, reports):
-        rows = [{"method": "mc_true", "risk": report.beta_r.estimate, "conservatism": None}]
-        rows += [
-            {"method": m, "risk": e.value, "conservatism": report.gamma[m]}
-            for m, e in report.estimates.items()
-        ]
         sections.append(
             {
                 "dimension": d,
                 "position_only": position_only,
                 "hierarchy_ok": report.hierarchy_ok,
-                "rows": rows,
+                "rows": _rows(report.beta_r, report.estimates.values()),
             }
         )
     return {

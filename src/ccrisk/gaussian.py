@@ -7,13 +7,12 @@ computes the signed standardized margins used by the risk estimators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .linalg import _cholesky, as_symmetric, congruence
+from .linalg import _cholesky, _sqrt_lambda_max, as_symmetric, congruence
 
 __all__ = [
     "GaussianVec",
@@ -83,8 +82,9 @@ class GaussianVec:
     @cached_property
     def sqrt_lambda_max(self) -> float:
         """Square root of the largest covariance eigenvalue, which is
-        positive: the covariance passed the Cholesky pivot test."""
-        return math.sqrt(np.linalg.eigvalsh(self.cov)[-1])
+        positive: the covariance passed the Cholesky pivot test. It is
+        never below ``sigma.max()``, as in exact arithmetic."""
+        return _sqrt_lambda_max(self.cov, float(np.linalg.eigvalsh(self.cov)[-1]))
 
     @cached_property
     def dth_order_risk(self) -> float:

@@ -7,6 +7,8 @@ add the validation and error semantics the rest of the package relies on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -72,13 +74,21 @@ def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 def spectral_radius_sqrt(S) -> float:
     """Positive square root of the largest eigenvalue of a PSD matrix."""
-    w = np.linalg.eigvalsh(as_symmetric(S))
+    S = as_symmetric(S)
+    w = np.linalg.eigvalsh(S)
     lam_max = float(w[-1])
     if w[0] < -1e-10 * max(abs(lam_max), 1e-300):
         raise NotPositiveSemidefiniteError(
             f"smallest eigenvalue {w[0]:.3e} is significantly negative"
         )
-    return float(np.sqrt(max(lam_max, 0.0)))
+    return _sqrt_lambda_max(S, lam_max)
+
+
+def _sqrt_lambda_max(S: np.ndarray, lam_max: float) -> float:
+    """sqrt(lam_max), the largest eigenvalue of the symmetric S, floored at
+    sqrt(max diag S) as in exact arithmetic: eigvalsh can round lam_max an
+    ulp below the diagonal."""
+    return math.sqrt(max(lam_max, float(S.diagonal().max()), 0.0))
 
 
 def congruence(A, S) -> np.ndarray:

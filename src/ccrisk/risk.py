@@ -143,24 +143,23 @@ def risk_norm_spectral(u_mean, u_cov, u_max: float) -> RiskEstimate:
     return RiskEstimate("norm_spectral", min(math.exp(-0.5 * scaled * scaled), 1.0))
 
 
-def _margin_tail(r: float, d: int) -> float:
-    """psi(r, d) of a nonnegative margin; 0 for r = inf, a margin beyond
-    double range, which is never crossed."""
-    return special.psi(r, d) if r < math.inf else 0.0
-
-
 def risk_spectral(g: GaussianVec) -> RiskEstimate:
-    """Spectral-radius risk bound psi(min(-mean) / rho(cov), d)."""
+    """Spectral-radius risk bound psi(min(-mean) / rho(cov), d), never below
+    the first-order bound psi(min r, d), as in exact arithmetic."""
     if not g.mean_nonpositive:
         return RiskEstimate("spectral", None, defined=False)
-    return RiskEstimate("spectral", _margin_tail(-float(g.mean.max()) / g.sqrt_lambda_max, g.dim))
+    # the spectral margin is at most min r (sqrt_lambda_max >= sigma.max()),
+    # but psi is good to about 3e-15 and not monotone at that level: a few
+    # ulps below min r it can read below psi(min r)
+    r = np.array([-float(g.mean.max()) / g.sqrt_lambda_max, g.radii.min()])
+    return RiskEstimate("spectral", max(special.psi_array(r, g.dim).tolist()))
 
 
 def risk_first_order(g: GaussianVec) -> RiskEstimate:
     """First-order risk bound psi(min r, d) from the standardized margins."""
     if not g.mean_nonpositive:
         return RiskEstimate("first_order", None, defined=False)
-    return RiskEstimate("first_order", _margin_tail(float(g.radii.min()), g.dim))
+    return RiskEstimate("first_order", float(special.psi_array(g.radii.min(), g.dim)))
 
 
 def dth_order_value(radii) -> float:
@@ -266,13 +265,7 @@ def directional_risks(gs, n: int, seeds) -> list[McEstimate]:
         raise ValueError("directional simulation requires mean <= 0 componentwise")
     pairs = (int(n) + 1) // 2
     sizes = [min(_BLOCK, pairs - start) for start in range(0, pairs, _BLOCK)]
-    tasks = []
-    for g, seed in zip(gs, seeds):
-        with np.errstate(divide="ignore", over="ignore"):
-            # +inf at a zero mean component, whose constraint is active at the
-            # origin, and at a subnormal one, which is as good as zero
-            inv_margin = 1.0 / np.abs(g.mean)
-        tasks += [(g.chol, inv_margin, seed, b, m) for b, m in enumerate(sizes)]
+    tasks = [(g.chol, g.mean, seed, b, m) for g, seed in zip(gs, seeds) for b, m in enumerate(sizes)]
     sums = _map(_directional_block, tasks)
     k = len(sizes)
     return [_merge_blocks(sums[i * k : (i + 1) * k], int(n), seed) for i, seed in enumerate(seeds)]
@@ -320,7 +313,7 @@ _BUFFERS = threading.local()
 
 def _directional_block(task) -> tuple[float, float, int]:
     """(sum, centred sum of squares, count) of one block's pair means."""
-    chol, inv_margin, seed, b, m = task
+    chol, mean, seed, b, m = task
     d = chol.shape[0]
     buf = getattr(_BUFFERS, "buf", None)
     if buf is None or buf.size < 2 * m * d:
@@ -334,6 +327,9 @@ def _directional_block(task) -> tuple[float, float, int]:
     norm = np.sqrt(np.einsum("ij,ij->i", z, z))
     # errstate is a context variable, so a pool thread needs its own
     with np.errstate(divide="ignore", over="ignore"):
+        # +inf at a zero mean component, whose constraint is active at the
+        # origin, and at a subnormal one, which is as good as zero
+        inv_margin = 1.0 / np.abs(mean)
         # overflows to +-inf where a tiny margin meets a wide spread
         a *= inv_margin[:, None]
         # exit radius of the rays along z and -z; inf (psi = 0) for a

@@ -1,5 +1,6 @@
 """Conservatism metric and the hierarchy report."""
 
+import importlib
 import json
 import math
 
@@ -9,6 +10,7 @@ import pytest
 from ccrisk import risk
 from ccrisk.cli import _dump_json
 from ccrisk.conservatism import ConservatismReport, conservatism, hierarchy_report, hierarchy_reports
+from ccrisk.experiments import run_check, run_sweep, run_table1, run_table2
 from ccrisk.gaussian import GaussianVec
 
 from conftest import random_pd_gaussian
@@ -124,3 +126,48 @@ class TestHierarchyReports:
         assert list(payload) == ["beta_r", "estimates", "gamma", "hierarchy_ok"]
         assert list(payload["estimates"]) == list(payload["gamma"]) == ["spectral", "first_order", "dth_order"]
         assert [e["method"] for e in payload["estimates"].values()] == list(payload["estimates"])
+
+
+class TestOnePathToTheReference:
+    """Every experiment draws its references through ``hierarchy_reports``,
+    and every reference it reports is one drawn there."""
+
+    CASES = {
+        "table1": (
+            lambda: run_table1(10**4, 0),
+            lambda rec: [row["risk"] for row in rec["rows"] if row["method"] == "mc_true"],
+        ),
+        "table2": (
+            lambda: run_table2(None, 10**4, 0),
+            lambda rec: [s["rows"][0]["risk"] for s in rec["sections"]],
+        ),
+        "check": (
+            lambda: run_check({"mean": [-3, -2], "cov": [[1, 0.3], [0.3, 1]], "beta": 1e-3}, mc_samples=10**4),
+            lambda rec: [rec["conservatism"].beta_r.estimate],
+        ),
+    }
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """The batches of references drawn through ``hierarchy_reports``."""
+        batches = []
+        # the package's ``conservatism`` attribute is the function of that name
+        module = importlib.import_module("ccrisk.conservatism")
+        draw = module.directional_risks
+
+        def recorded(gs, n, seeds):
+            batches.append(draw(gs, n, seeds))
+            return batches[-1]
+
+        monkeypatch.setattr(module, "directional_risks", recorded)
+        return batches
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_reported_references_were_drawn_there(self, name, drawn):
+        run, references = self.CASES[name]
+        record = run()
+        assert references(record) == [ref.estimate for batch in drawn for ref in batch]
+
+    def test_sweep(self, drawn):
+        run_sweep((1, 2), 3, 1e-3, 2000, 7)
+        assert [len(batch) for batch in drawn] == [3, 3]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import gammainccinv
 
 from ccrisk import risk
@@ -28,6 +29,7 @@ from ccrisk.risk import (
     risk_spectral,
 )
 from ccrisk.special import psi, sector_fraction
+from ccrisk.transcription import transcribe_first_order, transcribe_spectral_radius
 
 import oracles
 from oracles import mc_risk, mc_sector_probability, wilson_interval
@@ -147,7 +149,49 @@ class TestNormSpectral:
             risk_norm_spectral(u_mean, u_cov, u_max)
 
 
+@st.composite
+def scaled_gaussians(draw):
+    """Mean <= 0 Gaussians at d <= 13 whose covariance is diagonal (often
+    isotropic), near-diagonal (the identity plus a symmetric perturbation
+    of 1e-16 to 1e-7) or dense, scaled by 1e-300 to 1e300."""
+    d = draw(st.integers(1, 13))
+    kind = draw(st.sampled_from(["diagonal", "near-diagonal", "dense"]))
+    if kind == "diagonal":
+        base = np.diag(draw(arrays(float, d, elements=st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.5, 2.0))))
+    elif kind == "near-diagonal":
+        a = draw(arrays(float, (d, d), elements=st.floats(-1, 1)))
+        base = np.eye(d) + (a + a.T) * 10.0 ** draw(st.integers(-16, -7))
+    else:
+        a = draw(arrays(float, (d, d), elements=st.floats(-3, 3)))
+        base = a @ a.T / d + np.eye(d)
+    cov = base * 10.0 ** draw(st.integers(-300, 300))
+    radii = draw(arrays(float, d, elements=st.floats(0, 8)))
+    return GaussianVec(-radii * np.sqrt(cov.diagonal()), cov)
+
+
 class TestSpectral:
+    def test_not_below_first_order_where_eigvalsh_rounds_low(self):
+        # eigvalsh puts the largest eigenvalue of diag(1e-300) an ulp below
+        # the diagonal; psi(10, 3) = 1.55e-21 is the first-order risk
+        g = GaussianVec([-1e-140, -1e-140, -1e-149], np.diag([1e-300] * 3))
+        assert g.sqrt_lambda_max >= g.sigma.max()
+        assert risk_spectral(g).value >= risk_first_order(g).value == pytest.approx(1.5541594313896e-21, rel=1e-12)
+
+    def test_not_below_first_order_where_psi_rounds_non_monotonically(self):
+        # the spectral margin 2 / sqrt(1 + 4e-15) lies a few ulps below
+        # min r = 2, but SciPy's gammaincc, good to about 3e-15, reads lower
+        # there than at 2
+        g = GaussianVec([-2.0] * 3, np.eye(3) + 2e-15 * (1.0 - np.eye(3)))
+        assert risk_spectral(g).value >= risk_first_order(g).value
+
+    @settings(max_examples=300, deadline=None)
+    @given(scaled_gaussians())
+    def test_ordering_exact_at_every_scale(self, g):
+        assert g.sqrt_lambda_max >= g.sigma.max()
+        assert risk_spectral(g).value >= risk_first_order(g).value >= risk_dth_order(g).value
+        spectral, first = (t(g, 1e-3).margins for t in (transcribe_spectral_radius, transcribe_first_order))
+        assert (spectral >= first).all()
+
     def test_zero_mean(self):
         assert risk_spectral(GaussianVec([0.0, 0.0], np.eye(2))).value == 1.0
 
