@@ -1,7 +1,8 @@
 """Transcription of multidimensional Gaussian chance constraints into
 deterministic margin constraints, with failure-risk estimators, a seeded
-directional-simulation reference, and a conservatism metric for comparing
-methods. The plain-counting oracles that check them live with the tests."""
+importance-sampling (ALOE) reference, and a conservatism metric for
+comparing methods. The plain-counting oracles that check them live with
+the tests."""
 
 from .conservatism import ConservatismReport, conservatism, hierarchy_report, hierarchy_reports
 from .gaussian import GaussianVec, constraint_distribution, linearized_norm_constraint
@@ -9,8 +10,7 @@ from .linalg import NotPositiveDefiniteError, NotPositiveSemidefiniteError, cong
 from .risk import (
     McEstimate,
     RiskEstimate,
-    directional_risk,
-    directional_risks,
+    aloe_risks,
     risk_dth_order,
     risk_exact_1d,
     risk_first_order,

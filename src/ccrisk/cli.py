@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import run_check, run_sweep, run_table1, run_table2
+from .risk import REF_TOL
 
 EXIT_OK = 0
 EXIT_DOMAIN = 1
@@ -191,8 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--mc-samples",
         type=int,
         default=None,
-        help="directions of the directional-simulation reference, drawn as antithetic pairs "
+        help="cap on ALOE draws per reference risk "
         "(defaults: table1 1e6, quick 1e4; table2 1e7, quick 1e6; sweep 1e5; check --mc 1e6)",
+    )
+    parser.add_argument(
+        "--ref-tol",
+        type=float,
+        default=REF_TOL,
+        help="relative half-width of its 95%% interval at which a reference risk stops drawing, "
+        "below the --mc-samples cap; 0 draws to the cap (default %(default)s)",
     )
     parser.add_argument("--out", default=None, help="output path (default stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
@@ -240,6 +248,8 @@ def _resolve_flags(args) -> None:
         raise ValueError(f"--mc-samples must be at least {least}, got {args.mc_samples}")
     if no_reference:
         args.mc_samples = 0
+    if not 0.0 <= args.ref_tol < 1.0:
+        raise ValueError(f"--ref-tol must lie in [0, 1), got {args.ref_tol}")
     if args.command == "table2" and args.target_state is not None:
         try:
             target = [float(v) for v in args.target_state.split(",")]
@@ -293,21 +303,21 @@ def main(argv=None) -> int:
             return EXIT_OK  # argparse exits only after printing the help
         _resolve_flags(args)
         if args.command == "check":
-            report = run_check(args.payload, args.mc_samples, args.seed)
+            report = run_check(args.payload, args.mc_samples, args.seed, args.ref_tol)
             _write_output(_dump_json(report), args.out)
             # a requested estimator undefined for the input, e.g. at a positive mean component
             return EXIT_DOMAIN if any(not e.defined for e in report["risk_estimates"]) else EXIT_OK
         usage_errors = ()
         if args.command == "sweep":
-            rows = run_sweep(args.dims, args.n_dists, args.beta, args.mc_samples, args.seed)
+            rows = run_sweep(args.dims, args.n_dists, args.beta, args.mc_samples, args.seed, args.ref_tol)
             _write_output(_dump_json(rows) if args.format == "json" else sweep_csv(rows), args.out)
             if args.emit_plot_data:
                 _write_output(sweep_plot_data(rows), args.emit_plot_data)
         else:
             if args.command == "table1":
-                result = run_table1(args.mc_samples, args.seed)
+                result = run_table1(args.mc_samples, args.seed, args.ref_tol)
             else:
-                result = run_table2(args.target_state, args.mc_samples, args.seed)
+                result = run_table2(args.target_state, args.mc_samples, args.seed, args.ref_tol)
             _write_output(_dump_json(result) if args.format == "json" else _table_csv(result), args.out)
     except Exception as exc:
         # whatever escapes, a worker thread's error included, ends in one

@@ -8,9 +8,10 @@ from typing import Optional
 
 from .gaussian import GaussianVec
 from .risk import (
+    REF_TOL,
     McEstimate,
     RiskEstimate,
-    directional_risks,
+    aloe_risks,
     risk_dth_order,
     risk_first_order,
     risk_spectral,
@@ -41,8 +42,8 @@ def conservatism(beta_t: float, beta_r: float) -> float:
 
 @dataclass(frozen=True)
 class ConservatismReport:
-    """Per-method risk estimates and conservatism against one
-    directional-simulation reference.
+    """Per-method risk estimates and conservatism against one ALOE
+    reference (``risk.aloe_risks``).
 
     ``estimates`` and ``gamma`` are keyed by method, loosest first:
     ``spectral``, ``first_order``, ``dth_order``. ``hierarchy_ok`` certifies
@@ -77,21 +78,21 @@ def _estimates(g: GaussianVec) -> dict[str, RiskEstimate]:
     return {"spectral": risk_spectral(g), "first_order": risk_first_order(g), "dth_order": risk_dth_order(g)}
 
 
-def hierarchy_reports(gs, mc_n: int, seeds) -> list[ConservatismReport]:
+def hierarchy_reports(gs, mc_n: int, seeds, ref_tol: float = REF_TOL) -> list[ConservatismReport]:
     """Compute the three multidimensional estimators, the reference risk
-    (``directional_risks`` over ``mc_n`` directions, one seed per
-    distribution), and their conservatism values on each distribution in
-    ``gs``.
+    (``aloe_risks`` to a relative half-width of ``ref_tol``, at most
+    ``mc_n`` draws, one seed per distribution), and their conservatism
+    values on each distribution in ``gs``.
 
     Requires mean <= 0 componentwise (the estimators are undefined
     otherwise); the reference checks every input before it draws. Each
-    report depends only on its (distribution, mc_n, seed). The hierarchy
-    check is exact on the estimator chain and statistical (5 CI halfwidths)
-    against the reference only.
+    report depends only on its (distribution, mc_n, ref_tol, seed). The
+    hierarchy check is exact on the estimator chain and statistical (5 CI
+    halfwidths) against the reference only.
     """
     gs = list(gs)
     reports = []
-    for g, ref in zip(gs, directional_risks(gs, mc_n, seeds)):
+    for g, ref in zip(gs, aloe_risks(gs, mc_n, seeds, ref_tol)):
         estimates = _estimates(g)
         values = [e.value for e in estimates.values()]
         hierarchy_ok = bool(
@@ -103,6 +104,6 @@ def hierarchy_reports(gs, mc_n: int, seeds) -> list[ConservatismReport]:
     return reports
 
 
-def hierarchy_report(g: GaussianVec, mc_n: int, seed: int) -> ConservatismReport:
+def hierarchy_report(g: GaussianVec, mc_n: int, seed: int, ref_tol: float = REF_TOL) -> ConservatismReport:
     """The report on one distribution; a batch of one of ``hierarchy_reports``."""
-    return hierarchy_reports([g], mc_n, [seed])[0]
+    return hierarchy_reports([g], mc_n, [seed], ref_tol)[0]

@@ -7,13 +7,14 @@ All randomness is seeded, so identical arguments give identical records.
 Risks are probabilities in [0, 1]; only the CLI's tables print percentages.
 
 Reference sizing: every experiment draws its reference risk through
-``conservatism.hierarchy_reports``, by directional simulation, and
-``mc_samples`` counts its directions, drawn as antithetic pairs. Each
-direction contributes the exact chi-tail mass beyond the point where its
-ray leaves the safe set, so the count need not grow like 1/risk: at d = 1
-(table1) every pair gives the exact risk, and at table2's d = 6 risk of
-6.7e-6 the CLI's default 1e7 directions reach a relative standard error of
-about 0.3%.
+``conservatism.hierarchy_reports``, by ALOE importance sampling
+(``risk.aloe_risks``). Each reference draws until its 95% interval has a
+relative half-width of at most ``ref_tol`` (1% by default), looking after
+1024, 2048, 4096, ... draws, and never draws more than ``mc_samples``. A
+draw's value lies between mu / d and mu, mu the sum of the marginal tail
+masses, so the count needed does not grow like 1/risk: at d = 1 (table1)
+every draw gives the exact risk, and the quick sweep's references at risk
+1e-3 stop after about 2,500 draws on average.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .conservatism import gamma_or_inf, hierarchy_report, hierarchy_reports
 from .fixtures import DEFAULT_FIXTURE, DEFAULT_TARGET_STATE, box_constraint_distribution
 from .gaussian import GaussianVec
 from .linalg import NotPositiveDefiniteError
-from .risk import risk_first_order, risk_nakka_chung, risk_norm_spectral
+from .risk import REF_TOL, risk_first_order, risk_nakka_chung, risk_norm_spectral
 from .special import psi_inv
 from .transcription import METHODS
 
@@ -107,27 +108,33 @@ def _box_stats(values) -> dict:
     }
 
 
-def run_sweep(dims, n_dists: int, beta: float, mc_samples: int, seed: int) -> list[dict]:
+# instances whose references the sweep draws in one batch, in whole
+# dimensions: the full sweep's one dimension. Each round of the reference's
+# blocks then spans many instances, and memory stays bounded.
+_SWEEP_BATCH = 1000
+
+
+def run_sweep(dims, n_dists: int, beta: float, mc_samples: int, seed: int, ref_tol: float = REF_TOL) -> list[dict]:
     """Conservatism sweep over dimensions; one record per (dim, method)."""
     rows = []
-    for d in dims:
-        gen_rng = np.random.default_rng(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(d,)))
-        )
-        instances = []
-        n_rejected = 0
-        for _ in range(n_dists):
-            g, rej = _generate_instance(d, beta, gen_rng)
-            n_rejected += rej
-            instances.append(g)
-        # one batch per dimension, so the reference's blocks fill every core
-        reports = hierarchy_reports(
-            instances, mc_samples, [_sub_seed(seed, d, i) for i in range(n_dists)]
-        )
-        for method in reports[0].gamma:
-            row = {"dim": d, "method": method, "n_rejected": n_rejected}
-            row.update(_box_stats([r.gamma[method] for r in reports]))
-            rows.append(row)
+    per_batch = max(_SWEEP_BATCH // n_dists, 1)
+    for group in (dims[k : k + per_batch] for k in range(0, len(dims), per_batch)):
+        instances, seeds, n_rejected = [], [], []
+        for d in group:
+            gen_rng = np.random.default_rng(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(d,))))
+            n_rejected.append(0)
+            for i in range(n_dists):
+                g, rej = _generate_instance(d, beta, gen_rng)
+                n_rejected[-1] += rej
+                instances.append(g)
+                seeds.append(_sub_seed(seed, d, i))
+        reports = hierarchy_reports(instances, mc_samples, seeds, ref_tol)
+        for k, d in enumerate(group):
+            mine = reports[k * n_dists : (k + 1) * n_dists]
+            for method in mine[0].gamma:
+                row = {"dim": d, "method": method, "n_rejected": n_rejected[k]}
+                row.update(_box_stats([r.gamma[method] for r in mine]))
+                rows.append(row)
     return rows
 
 
@@ -145,7 +152,7 @@ def _rows(ref, estimates) -> list[dict]:
     return rows
 
 
-def run_table1(mc_samples: int, seed: int) -> dict:
+def run_table1(mc_samples: int, seed: int, ref_tol: float = REF_TOL) -> dict:
     """Control-magnitude constraint comparison on ``DEFAULT_FIXTURE``.
 
     The 1-D rows use the fixture's published scalar constraint
@@ -153,7 +160,7 @@ def run_table1(mc_samples: int, seed: int) -> dict:
     covariance. With mc_samples = 0 only the risks are reported.
     """
     g = DEFAULT_FIXTURE.control_constraint()
-    ref = hierarchy_report(g, mc_samples, seed).beta_r if mc_samples > 0 else None
+    ref = hierarchy_report(g, mc_samples, seed, ref_tol).beta_r if mc_samples > 0 else None
     spectral = risk_norm_spectral(DEFAULT_FIXTURE.u0_mean, DEFAULT_FIXTURE.sigma_u0, DEFAULT_FIXTURE.u_max)
     rows = _rows(ref, (spectral, risk_nakka_chung(g), risk_first_order(g)))
     return {
@@ -164,7 +171,7 @@ def run_table1(mc_samples: int, seed: int) -> dict:
     }
 
 
-def run_table2(target_state, mc_samples: int, seed: int) -> dict:
+def run_table2(target_state, mc_samples: int, seed: int, ref_tol: float = REF_TOL) -> dict:
     """Terminal box-constraint comparison at d = 6 and d = 12 on
     ``DEFAULT_FIXTURE``.
 
@@ -178,7 +185,7 @@ def run_table2(target_state, mc_samples: int, seed: int) -> dict:
     layout = ((True, 6), (False, 12))
     gs = [box_constraint_distribution(DEFAULT_FIXTURE, target, position_only) for position_only, _ in layout]
     # both sections in one batch, so the reference's blocks fill every core
-    reports = hierarchy_reports(gs, mc_samples, [_sub_seed(seed, d) for _, d in layout])
+    reports = hierarchy_reports(gs, mc_samples, [_sub_seed(seed, d) for _, d in layout], ref_tol)
     sections = []
     for (position_only, d), report in zip(layout, reports):
         sections.append(
@@ -230,7 +237,7 @@ def _numbers(payload: dict, key: str, scalar: bool = False) -> np.ndarray:
         raise ValueError(f'"{key}" must be {what}, got {reprlib.repr(value)}') from None
 
 
-def run_check(payload: dict, mc_samples: int = 0, seed: int = 0) -> dict:
+def run_check(payload: dict, mc_samples: int = 0, seed: int = 0, ref_tol: float = REF_TOL) -> dict:
     """Transcribe and risk-check one user-supplied constraint.
 
     ``payload`` is the decoded ``check`` input: ``mean`` and ``cov`` (JSON
@@ -266,5 +273,5 @@ def run_check(payload: dict, mc_samples: int = 0, seed: int = 0) -> dict:
 
     report = {"beta": beta, "verdicts": verdicts, "risk_estimates": estimates}
     if mc_samples > 0:
-        report["conservatism"] = hierarchy_report(g, mc_samples, seed) if g.mean_nonpositive else None
+        report["conservatism"] = hierarchy_report(g, mc_samples, seed, ref_tol) if g.mean_nonpositive else None
     return report

@@ -1,7 +1,7 @@
 """Failure-risk estimators and the Monte-Carlo reference.
 
 Every estimator is an upper bound on the real failure risk
-beta_R = 1 - P(y <= 0 componentwise). ``directional_risk`` is the seeded
+beta_R = 1 - P(y <= 0 componentwise). ``aloe_risks`` is the seeded
 reference used to measure conservatism.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc, erfcx, ndtr
+from scipy.special import betaincinv, ndtr, ndtri
 
 from . import special
 from .gaussian import GaussianVec
@@ -31,14 +31,25 @@ __all__ = [
     "risk_spectral",
     "risk_first_order",
     "risk_dth_order",
-    "directional_risk",
-    "directional_risks",
+    "aloe_risks",
+    "REF_TOL",
 ]
 
-# antithetic pairs per block of the directional reference: the unit of its
-# random streams and of its parallel work. A block holds about 7 MB at d = 25.
+# relative half-width of the 95% interval at which a reference stops drawing
+REF_TOL = 0.01
+# error level of the reference's interval, over all its looks
+_DELTA = 0.05
+# draws per block of the reference: the unit of its random streams and of
+# its parallel work. A block holds about 10 MB at d = 25.
 _BLOCK = 16_384
-_Z95 = 1.959963984540054
+# draws before the reference first looks at its interval; it looks again at
+# each doubling
+_FIRST_LOOK = 1024
+# OpenBLAS runs a product of fewer multiply-adds than about this on the
+# calling thread
+_BLAS_SERIAL = 200_000
+# the smallest positive double, a floor on the tail mass u * p_j
+_TINY = 5e-324
 
 
 @dataclass(frozen=True)
@@ -66,8 +77,8 @@ class McEstimate:
     """Monte-Carlo risk estimate with its 95% confidence interval.
 
     ``estimator`` names the kernel that drew it and with it the interval;
-    the directional reference writes ``"directional"`` (normal interval over
-    the antithetic pairs).
+    the reference writes ``"aloe"`` (``risk.aloe_risks``), and
+    ``n_samples`` is the number of draws it used.
     """
 
     estimate: float
@@ -228,32 +239,36 @@ def risk_dth_order(g: GaussianVec) -> RiskEstimate:
     return RiskEstimate("dth_order", g.dth_order_risk)
 
 
-def directional_risks(gs, n: int, seeds) -> list[McEstimate]:
-    """Directional-simulation estimates of the real failure risk
-    1 - P(y <= 0), one per distribution in ``gs``, with ``n`` directions and
-    its own seed each.
+def aloe_risks(gs, n: int, seeds, tol: float = REF_TOL) -> list[McEstimate]:
+    """Importance-sampling estimates of the real failure risk
+    1 - P(y <= 0), one per distribution in ``gs``, each drawing until its
+    95% interval has a relative half-width of at most ``tol`` or it has
+    drawn ``n`` samples, with its own seed.
 
-    Write y = mean + L z with z = R u, where u is uniform on the unit sphere
-    and R ~ chi_d is independent of it. With mean <= 0 the safe set is
-    convex and holds the origin, so the ray along u leaves it once, at
-    t(u) = min over (L u)_i > 0 of -mean_i / (L u)_i, and the risk is
-    exactly E_u[psi(t(u), d)] (Deak 1980; Bjerager 1988).
+    Failure is the union of the half-spaces H_i = {a_i . z > r_i} of a
+    standard normal z, where a_i is the i-th row of the covariance factor
+    scaled to unit length and r_i the standardized margin. ALOE (Owen,
+    Maximov & Chertkov 2019) draws z conditioned on one event: it picks j
+    with probability p_j / mu, p_j = Phi(-r_j), mu = sum p_i, draws
+    y = A z and the tail point t = -Phi^-1(u p_j), u in (0, 1], and moves y
+    to y + (t - y_j) C[j] with C = A A^T, so that y_j = t >= r_j. With S the
+    number of violated constraints, j among them by construction, mu / S is
+    an unbiased estimate of the risk that lies in [mu / m, mu] for m
+    constraints: at m = 1 every draw gives the exact risk. A constraint
+    with p = 0 in double (a margin beyond about 37.5) is never violated and
+    is left out; a distribution with no other has risk exactly 0 and draws
+    nothing.
 
-    Each Philox normal z gives the direction of z and its antithetic partner
-    -z, so ``n`` counts directions, rounded up to whole pairs; the estimate
-    is the mean over pairs of (psi(t(z)) + psi(t(-z))) / 2. The 95% interval
-    is 1.96 standard errors of the pair means, clipped to [0, 1], with a
-    half-width of at least 1e-12 of the estimate, the relative accuracy of
-    psi itself: at d = 1 every pair gives the exact risk and the sampling
-    interval would have zero width. A single pair has no variance and
-    reports [0, 1].
-
-    The pairs come in blocks of ``_BLOCK``; block b of a reference draws
-    from Philox(SeedSequence(seed, spawn_key=(b,))), and the blocks' sums
-    merge in block order. So each result depends only on its
-    (distribution, n, seed): not on the other distributions in the batch,
-    and not on how many threads run the blocks. Every input is checked
-    before anything is drawn.
+    Draws come in blocks of at most ``_BLOCK``; block b of a reference
+    draws from Philox(SeedSequence(seed, spawn_key=(b,))) and returns the
+    histogram of S over its draws. A reference looks at its interval only
+    after ``_FIRST_LOOK`` * 2^k merged draws and at ``n``, and stops at the
+    first look whose interval is narrow enough; the blocks up to the next
+    look run on the thread pool across the whole batch. ``_interval``
+    documents the interval. So each result depends only on its
+    (distribution, n, tol, seed): not on the other distributions in the
+    batch, and not on how many threads run the blocks. Every input is
+    checked before anything is drawn.
     """
     gs = list(gs)
     seeds = [int(s) for s in seeds]
@@ -261,23 +276,62 @@ def directional_risks(gs, n: int, seeds) -> list[McEstimate]:
         raise ValueError(f"need one seed per distribution, got {len(seeds)} for {len(gs)}")
     if n < 1:
         raise ValueError("need at least one sample")
+    if not 0.0 <= tol < 1.0:
+        raise ValueError(f"the relative half-width must lie in [0, 1), got {tol}")
     if not all(g.mean_nonpositive for g in gs):
-        raise ValueError("directional simulation requires mean <= 0 componentwise")
-    pairs = (int(n) + 1) // 2
-    sizes = [min(_BLOCK, pairs - start) for start in range(0, pairs, _BLOCK)]
-    tasks = [(g.chol, g.mean, seed, b, m) for g, seed in zip(gs, seeds) for b, m in enumerate(sizes)]
-    sums = _map(_directional_block, tasks)
-    k = len(sizes)
-    return [_merge_blocks(sums[i * k : (i + 1) * k], int(n), seed) for i, seed in enumerate(seeds)]
+        raise ValueError("the reference requires mean <= 0 componentwise")
+    looks, look = [], _FIRST_LOOK
+    while look < n:
+        looks.append(look)
+        look *= 2
+    looks.append(n)
+    # the interval holds at every look at once: the error level is split
+    # over the looks and the two bounds it intersects
+    delta = _DELTA / (2 * len(looks))
+    events = [_events(g) for g in gs]
+    results = [None if e else McEstimate(0.0, 0.0, 0.0, 0, seed, "aloe") for e, seed in zip(events, seeds)]
+    counts = [np.zeros(e[0].shape[0] + 1, dtype=np.int64) if e else None for e in events]
+    block = 0
+    for prev, look in zip([0, *looks], looks):
+        sizes = [min(_BLOCK, look - start) for start in range(prev, look, _BLOCK)]
+        active = [i for i, r in enumerate(results) if r is None]
+        tasks = [(events[i], seeds[i], block + b, m) for i in active for b, m in enumerate(sizes)]
+        hists = _map(_aloe_block, tasks)
+        block += len(sizes)
+        for k, i in enumerate(active):
+            counts[i] += sum(hists[k * len(sizes) : (k + 1) * len(sizes)])
+            est, lo, hi = _interval(counts[i], events[i][-1], delta)
+            if hi - lo <= 2.0 * tol * est or look == n:
+                results[i] = McEstimate(est, lo, hi, look, seeds[i], "aloe")
+        if all(results):
+            break
+    return results
 
 
-def directional_risk(g: GaussianVec, n: int, seed: int) -> McEstimate:
-    """Directional-simulation estimate of one distribution's failure risk;
-    a batch of one of ``directional_risks``, which documents it."""
-    return directional_risks([g], n, [seed])[0]
+def _events(g: GaussianVec):
+    """(A, C, r, p, cumulative share, mu) of ``aloe_risks`` over the
+    constraints with p > 0, read-only; None when there is none."""
+    r = g.radii
+    p = ndtr(-r)
+    keep = p > 0.0
+    if not keep.any():
+        return None
+    # the i-th row of the factor has length sigma_i; scaling it by 1/sigma
+    # first keeps a subnormal or huge sigma out of the norm
+    a = g.chol[keep] / g.sigma[keep, None]
+    a /= np.linalg.norm(a, axis=1)[:, None]
+    p = p[keep]
+    share = np.cumsum(p)
+    mu = float(share[-1])
+    # ends at exactly 1, so a uniform draw in [0, 1) always picks a constraint
+    share /= mu
+    out = (a, a @ a.T, r[keep], p, share)
+    for x in out:
+        x.flags.writeable = False
+    return (*out, mu)
 
 
-# threads that run the directional blocks, one per CPU this process may run
+# threads that run the reference's blocks, one per CPU this process may run
 # on; the pool starts on first use
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _POOL: Optional[ThreadPoolExecutor] = None
@@ -306,113 +360,83 @@ def _map(fn, tasks: list) -> list:
     return list(_POOL.map(fn, tasks))
 
 
-# each thread's block buffer: a fresh multi-megabyte array per block would
-# go back to the OS on every free and fault its pages in again
+# each thread's block buffers: a fresh multi-megabyte array per block would
+# go back to the OS on every free and fault its pages in again, and the
+# threads' page faults serialize in the kernel
 _BUFFERS = threading.local()
 
 
-def _directional_block(task) -> tuple[float, float, int]:
-    """(sum, centred sum of squares, count) of one block's pair means."""
-    chol, mean, seed, b, m = task
-    d = chol.shape[0]
-    buf = getattr(_BUFFERS, "buf", None)
-    if buf is None or buf.size < 2 * m * d:
-        buf = _BUFFERS.buf = np.empty(2 * m * d)
+def _aloe_block(task) -> np.ndarray:
+    """Histogram of S, the number of violated constraints, over one block's
+    ``m`` draws, held one draw per column."""
+    (a, c, r, p, share, _), seed, b, m = task
+    k, d = a.shape
+    if getattr(_BUFFERS, "size", 0) < m * (d + 2 * k):
+        _BUFFERS.size = m * (d + 2 * k)
+        _BUFFERS.real = np.empty(_BUFFERS.size)
+        _BUFFERS.hit = np.empty(_BUFFERS.size, dtype=bool)
+    z, y, moved = (_BUFFERS.real[m * lo : m * hi].reshape(-1, m) for lo, hi in ((0, d), (d, d + k), (d + k, d + 2 * k)))
+    hit = _BUFFERS.hit[: k * m].reshape(k, m)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
-    z = rng.standard_normal(out=buf[: m * d].reshape(m, d))
-    # (L z)_i / -mean_i, one column per pair, scaled after the product:
-    # L / -mean would put 0 * inf = nan in L's zero triangle when a mean
-    # component is zero
-    a = np.matmul(chol, z.T, out=buf[m * d : 2 * m * d].reshape(d, m))
-    norm = np.sqrt(np.einsum("ij,ij->i", z, z))
-    # errstate is a context variable, so a pool thread needs its own
-    with np.errstate(divide="ignore", over="ignore"):
-        # +inf at a zero mean component, whose constraint is active at the
-        # origin, and at a subnormal one, which is as good as zero
-        inv_margin = 1.0 / np.abs(mean)
-        # overflows to +-inf where a tiny margin meets a wide spread
-        a *= inv_margin[:, None]
-        # exit radius of the rays along z and -z; inf (psi = 0) for a
-        # ray with no positive entry, which never leaves the safe set,
-        # and for one whose margins lie beyond double range
-        t = norm / np.maximum(np.stack((a.max(axis=0), -a.min(axis=0))), 0.0)
-        p = _chi_tail(t, d)
-    v = 0.5 * (p[0] + p[1])
-    s = float(v.sum())
-    return s, float(np.square(v - s / m).sum()), m
+    rng.standard_normal(out=z)
+    pick, u = rng.random((2, m))
+    j = share.searchsorted(pick, "right")
+    # 1 - u lies in (0, 1]: u p_j = 0 would put t at inf, and inf * 0 in
+    # the move below at NaN; so would a product that underflows
+    shift = -ndtri(np.maximum((1.0 - u) * p[j], _TINY))
+    # column chunks small enough that BLAS keeps each product on this
+    # thread: its own threads would only compete with the pool's
+    cols = max(int(_BLAS_SERIAL // (d * k)), 1)
+    for s in range(0, m, cols):
+        np.matmul(a, z[:, s : s + cols], out=y[:, s : s + cols])
+    at = np.arange(m)
+    shift -= y[j, at]
+    np.take(c, j, axis=1, out=moved)
+    moved *= shift
+    y += moved
+    # j is violated by construction, also where rounding leaves y_j a hair below r_j
+    y[j, at] = math.inf
+    np.greater(y, r[:, None], out=hit)
+    return np.bincount(hit.sum(axis=0), minlength=k + 1)
 
 
-# the finite sum's largest dimension: beyond it the partial sums of the
-# exponential series overflow a double where psi is still above 0
-_SUM_MAX_D = 500
-# psi(t, d) is 0 in double beyond t^2 / 2 = 1500 for every d <= _SUM_MAX_D
-_SUM_MAX_T = math.sqrt(2.0 * 1500.0)
+def _interval(counts, mu: float, delta: float) -> tuple[float, float, float]:
+    """Estimate and 95% interval of one reference from the histogram of S
+    over its n draws, whose values mu / S lie in [mu / m, mu].
 
+    The interval is the intersection of two, each at error level
+    ``delta``:
 
-def _chi_tail(t, d: int):
-    """``special.psi_array(t, d)`` over a block's exit radii t >= 0, inf
-    included, by the finite sum the chi tail has at the shapes d / 2
-    (Abramowitz & Stegun 26.4): with x = t^2 / 2 and
-    h = (d mod 2) / 2,
+    - the empirical-Bernstein interval (Maurer & Pontil 2009, two-sided)
+      estimate +- (sqrt(2 V ln(4/delta) / n) + 7 R ln(4/delta) / (3 (n - 1))),
+      with V the sample variance and R = mu (1 - 1/m) the values' range;
+    - [mu (1 - (1 - 1/m) q), mu], where q is the Clopper-Pearson upper
+      bound on the share of draws with S >= 2: a draw with S = 1 gives
+      mu, one with S >= 2 at least mu / m.
 
-        psi(t, d) = e^-x (sum_{k < floor(d/2)} x^(k+h) / Gamma(k+h+1) [+ erfcx(sqrt x), d odd]),
-
-    and erfc(t / sqrt 2) at d = 1. Every term is positive, so it keeps
-    the relative accuracy of gammaincc into the deep tail at a fraction of
-    its cost per element. The sum runs as a Horner loop in place. e^-x is
-    applied as two factors e^(-x/2), because one factor underflows where
-    psi is still near 1e-300 at d = 25. Capping t at _SUM_MAX_T keeps the
-    sum finite, so t = inf gives exactly 0. Above _SUM_MAX_D the sum
-    overflows and gammaincc is the only evaluation.
-
-    The estimators keep ``special.psi_array``: on their arrays of at most
-    d elements NumPy's per-call cost outweighs what the sum saves."""
-    if d > _SUM_MAX_D:
-        return special.psi_array(t, d)
-    if d == 1:
-        return erfc(t * math.sqrt(0.5))
-    n, odd = divmod(d, 2)
-    h = 0.5 * odd
-    x = np.minimum(t, _SUM_MAX_T)
-    x *= x
-    x *= 0.5
-    # sum_{k<n} x^(k+h) / Gamma(k+h+1)
-    #   = x^h c (1 + x/(1+h) (1 + x/(2+h) (... (1 + x/(n-1+h))))), c = 1 / Gamma(1+h)
-    c = 1.0 / math.gamma(1.0 + h)
-    s = np.full_like(x, c)
-    for k in range(n - 1, 0, -1):
-        s *= x
-        s *= 1.0 / (k + h)
-        s += c
-    e = np.multiply(x, -0.5)
-    np.exp(e, out=e)
-    if odd:
-        # erfc(sqrt x) = e^-x erfcx(sqrt x); erfc alone flushes to 0 below
-        # 2e-308, which at d = 9 is still 3e-11 of psi near 1e-300
-        r = np.sqrt(x, out=x)
-        s *= r
-        s += erfcx(r, out=r)
-    s *= e
-    s *= e
-    return s
-
-
-def _merge_blocks(sums, n: int, seed: int) -> McEstimate:
-    """Merge one reference's block sums, in block order, into its estimate
-    and interval."""
-    total = m2 = 0.0
-    pairs = 0
-    for s, q, m in sums:
-        # Chan's update of the centred sum of squares; sum(v^2) - n * mean^2
-        # would cancel at small risks
-        delta = s / m - total / max(pairs, 1)
-        m2 += q + delta * delta * pairs * m / (pairs + m)
-        total += s
-        pairs += m
-    estimate = total / pairs
-    if pairs < 2:
-        lo, hi = 0.0, 1.0
-    else:
-        half = max(_Z95 * math.sqrt(m2 / ((pairs - 1) * pairs)), 1e-12 * estimate)
-        lo, hi = max(estimate - half, 0.0), min(estimate + half, 1.0)
-    return McEstimate(estimate, lo, hi, n, seed, "directional")
+    Risks are at most 1, and the half-width is at least 1e-12 of the
+    estimate: at m = 1 every draw gives the exact risk and the sampling
+    interval would have zero width.
+    """
+    m = counts.shape[0] - 1
+    hist = counts[1:].astype(float)
+    n = hist.sum()
+    w = 1.0 / np.arange(1, m + 1)
+    mean = (hist @ w) / n
+    estimate = mu * mean
+    lo, hi = 0.0, mu
+    if n > 1:
+        dev = w - mean
+        v = mu * mu * (hist @ (dev * dev)) / (n - 1)
+        log = math.log(4.0 / delta)
+        half = math.sqrt(2.0 * v * log / n) + 7.0 * mu * (1.0 - 1.0 / m) * log / (3.0 * (n - 1))
+        lo, hi = estimate - half, estimate + half
+    several = n - hist[0]
+    q = 1.0 if several == n else float(betaincinv(several + 1.0, n - several, 1.0 - delta))
+    lo = max(lo, mu * (1.0 - (1.0 - 1.0 / m) * q))
+    hi = min(hi, mu)
+    estimate = min(estimate, 1.0)
+    floor = 1e-12 * estimate
+    lo = max(min(lo, estimate - floor), 0.0)
+    hi = min(max(hi, estimate + floor), 1.0)
+    return float(estimate), float(lo), float(hi)

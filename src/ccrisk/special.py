@@ -16,14 +16,6 @@ their arguments; ``psi_array`` and ``sector_fraction_array`` evaluate the
 same expressions elementwise, unvalidated, for callers that already hold
 checked arrays. Each formula is written once, in the array form, so a scalar
 and an array evaluation at the same point agree bitwise.
-
-The one other evaluation of ``psi`` is the directional reference kernel's
-own, ``risk._chi_tail``: the finite sum the chi tail has at the shapes d/2,
-3 to 11 times cheaper per element than ``gammaincc`` on the kernel's
-32,768-element blocks. It is separate because it pays only there:
-on the estimators' arrays of at most d elements its per-call NumPy
-overhead is larger than ``gammaincc``'s, and the estimators need the scalar
-and array forms here to agree bitwise.
 """
 
 from __future__ import annotations

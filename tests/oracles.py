@@ -2,15 +2,19 @@
 
 Plain Monte-Carlo counting (``mc_risk``, ``mc_sector_probability``) with a
 Wilson interval, and seeded sampling of a ``GaussianVec`` (``sample``). The
-tests hold the closed forms and the directional reference to them.
+tests hold the closed forms and the ALOE reference to them.
 ``dth_order_full_matrix`` is the d-th-order value summed over the whole
-ratio matrix, which the library's value must match bit for bit.
+ratio matrix, which the library's value must match bit for bit. The exact
+risks of independent (``mp_independent_risk``) and equicorrelated
+(``mp_equicorrelated_risk``) components are mpmath evaluations that keep
+their relative accuracy into the deep tail.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy.special import betainc, gammaincc
 
@@ -133,3 +137,31 @@ def dth_order_full_matrix(radii) -> float:
     width = p[k - 1 : -1] - p[k:]
     value = float(p[-1] + width @ np.minimum(1.0, 0.5 * cut))
     return min(value, float(p[0]))
+
+
+def mp_independent_risk(radii):
+    """Exact risk 1 - prod Phi(r_i) of independent unit components, as
+    -expm1(sum log1p(-Phi(-r_i))) so the deep tail keeps its digits."""
+    with mpmath.workdps(40):
+        return -mpmath.expm1(mpmath.fsum(mpmath.log1p(-mpmath.ncdf(-mpmath.mpf(float(x)))) for x in radii))
+
+
+def mp_equicorrelated_risk(margin: float, rho: float, d: int):
+    """Exact risk 1 - P(all y_i <= margin) of d unit normals with pairwise
+    correlation rho in [0, 1), through the common factor z:
+    y_i = sqrt(rho) z + sqrt(1 - rho) e_i, so that
+
+        risk = int phi(z) (1 - Phi(x(z))^d) dz,  x(z) = (margin - sqrt(rho) z) / sqrt(1 - rho),
+
+    with 1 - Phi^d written as -expm1(d log1p(-Phi(-x))): the form
+    1 - int phi Phi^d cancels in the deep tail."""
+    with mpmath.workdps(40):
+        a, s, c = mpmath.mpf(margin), mpmath.sqrt(mpmath.mpf(rho)), mpmath.sqrt(1 - mpmath.mpf(rho))
+
+        def integrand(z):
+            x = (a - s * z) / c
+            return mpmath.npdf(z) * -mpmath.expm1(d * mpmath.log1p(-mpmath.ncdf(-x)))
+
+        # the integrand's mass lies near z = sqrt(rho) margin
+        peak = a * s
+        return mpmath.quad(integrand, [-mpmath.inf, peak - 4, peak, peak + 4, mpmath.inf])

@@ -79,7 +79,9 @@ class TestHierarchyReport:
         payload = json.loads(_dump_json(hierarchy_report(example_2d, 10**4, 0)))
         assert payload["hierarchy_ok"] is True
         assert set(payload["gamma"]) == {"spectral", "first_order", "dth_order"}
-        assert payload["beta_r"]["n_samples"] == 10**4
+        # the draws it used: it stops at a look, 1024 * 2^k, or at the cap
+        n = payload["beta_r"]["n_samples"]
+        assert n == 10**4 or (n < 10**4 and n % 1024 == 0 and (n // 1024).bit_count() == 1)
 
 
 class TestHierarchyReports:
@@ -105,13 +107,13 @@ class TestHierarchyReports:
 
     def test_positive_mean_rejected_before_any_block(self, monkeypatch):
         calls = []
-        block = risk._directional_block
+        block = risk._aloe_block
 
         def counted(task):
             calls.append(task)
             return block(task)
 
-        monkeypatch.setattr(risk, "_directional_block", counted)
+        monkeypatch.setattr(risk, "_aloe_block", counted)
         gs = self.mixed_batch()
         hierarchy_reports(gs[:1], 10, self.SEEDS[:1])
         assert len(calls) == 1
@@ -153,13 +155,13 @@ class TestOnePathToTheReference:
         batches = []
         # the package's ``conservatism`` attribute is the function of that name
         module = importlib.import_module("ccrisk.conservatism")
-        draw = module.directional_risks
+        draw = module.aloe_risks
 
-        def recorded(gs, n, seeds):
-            batches.append(draw(gs, n, seeds))
+        def recorded(gs, n, seeds, tol):
+            batches.append(draw(gs, n, seeds, tol))
             return batches[-1]
 
-        monkeypatch.setattr(module, "directional_risks", recorded)
+        monkeypatch.setattr(module, "aloe_risks", recorded)
         return batches
 
     @pytest.mark.parametrize("name", list(CASES))
@@ -168,6 +170,11 @@ class TestOnePathToTheReference:
         record = run()
         assert references(record) == [ref.estimate for batch in drawn for ref in batch]
 
-    def test_sweep(self, drawn):
+    def test_sweep(self, drawn, monkeypatch):
+        # whole dimensions per batch, up to _SWEEP_BATCH instances
         run_sweep((1, 2), 3, 1e-3, 2000, 7)
-        assert [len(batch) for batch in drawn] == [3, 3]
+        assert [len(batch) for batch in drawn] == [6]
+        drawn.clear()
+        monkeypatch.setattr(importlib.import_module("ccrisk.experiments"), "_SWEEP_BATCH", 4)
+        run_sweep((1, 2, 3), 3, 1e-3, 2000, 7)
+        assert [len(batch) for batch in drawn] == [3, 3, 3]

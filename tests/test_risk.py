@@ -13,13 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import gammainccinv
+from scipy.stats import beta as beta_law
 
-from ccrisk import risk
+from ccrisk import risk, special
 from ccrisk.cli import _dump_json
 from ccrisk.gaussian import GaussianVec
 from ccrisk.risk import (
-    directional_risk,
-    directional_risks,
+    REF_TOL,
+    aloe_risks,
     dth_order_value,
     risk_dth_order,
     risk_exact_1d,
@@ -32,7 +33,7 @@ from ccrisk.special import psi, sector_fraction
 from ccrisk.transcription import transcribe_first_order, transcribe_spectral_radius
 
 import oracles
-from oracles import mc_risk, mc_sector_probability, wilson_interval
+from oracles import mc_risk, mc_sector_probability, mp_equicorrelated_risk, mp_independent_risk, wilson_interval
 
 mpmath.mp.dps = 40
 
@@ -71,10 +72,9 @@ def mp_shell_sum(radii):
     return value
 
 
-def mp_independent_risk(radii):
-    """Exact risk 1 - prod Phi(r_i) of independent unit components, as
-    -expm1(sum log1p(-Phi(-r_i))) so the deep tail keeps its digits."""
-    return -mpmath.expm1(mpmath.fsum(mpmath.log1p(-mpmath.ncdf(-mpmath.mpf(float(x)))) for x in radii))
+def reference(g, n, seed, tol=REF_TOL):
+    """The ALOE reference of one distribution: a batch of one."""
+    return aloe_risks([g], n, [seed], tol)[0]
 
 
 class TestExact1d:
@@ -422,95 +422,127 @@ class TestMcChunking:
         assert results[0] == results[1]
 
     def test_directional_block_merge_matches_two_pass(self, monkeypatch, example_2d):
-        # 7-pair blocks, the last one partial: the blocks' centred sums merge
-        # to the two-pass mean and variance of the same pair means
+        # the reference's block histograms, merged over looks at 16 and 32
+        # draws and the cap of 45 in 7-draw blocks, the last of each look
+        # partial, against the two-pass mean and variance of the same draws,
+        # each one followed draw by draw
         monkeypatch.setattr(risk, "_BLOCK", 7)
-        n, seed = 2 * (3 * 7) + 6, 8
-        v = []
-        for b, m in enumerate((7, 7, 7, 3)):
+        monkeypatch.setattr(risk, "_FIRST_LOOK", 16)
+        n, seed = 45, 8
+        g = example_2d
+        a = g.chol / np.linalg.norm(g.chol, axis=1)[:, None]
+        p = [float(mpmath.ncdf(-x)) for x in g.radii]
+        mu = sum(p)
+        values = []
+        for b, m in enumerate((7, 7, 2, 7, 7, 2, 7, 6)):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
-            z = rng.standard_normal((m, 2))
-            y = z @ example_2d.chol.T
-            for sign in (1.0, -1.0):
-                # exit radius of the ray along sign * z: the nearest
-                # constraint it crosses
-                scale = np.where(sign * y > 0.0, -example_2d.mean / (sign * y), np.inf)
-                t = np.linalg.norm(z, axis=1) * scale.min(axis=1)
-                v.append([psi(float(x), 2) if math.isfinite(x) else 0.0 for x in t])
-        pair_means = 0.5 * (np.concatenate(v[0::2]) + np.concatenate(v[1::2]))
-        assert pair_means.size == 24
-        mean = float(np.mean(pair_means))
-        half = 1.959963984540054 * float(np.std(pair_means, ddof=1)) / math.sqrt(pair_means.size)
-        ds = directional_risk(example_2d, n, seed)
+            z = rng.standard_normal((2, m))  # one draw per column
+            pick, u = rng.random((2, m))
+            for zi, pi, ui in zip(z.T, pick, u):
+                j = 0 if pi < p[0] / mu else 1
+                t = -float(mpmath.sqrt(2) * mpmath.erfinv(2 * (1 - ui) * p[j] - 1))
+                y = a @ zi
+                y = y + (t - y[j]) * (a @ a[j])
+                s_count = 1 + sum(y[i] > g.radii[i] for i in range(2) if i != j)
+                values.append(mu / s_count)
+        values = np.array(values)
+        assert values.size == n
+        mean, var = float(values.mean()), float(values.var(ddof=1))
+        # empirical-Bernstein at error level 0.05 / 6, over 3 looks and 2 bounds
+        delta = 0.05 / 6
+        log = math.log(4 / delta)
+        half = math.sqrt(2 * var * log / n) + 7 * (mu / 2) * log / (3 * (n - 1))
+        several = int(np.count_nonzero(values < mu))
+        q = beta_law.ppf(1 - delta, several + 1, n - several)
+        ds = reference(example_2d, n, seed, tol=0.0)
+        assert ds.n_samples == n
         assert ds.estimate == pytest.approx(mean, rel=1e-12)
-        assert ds.ci_halfwidth == pytest.approx(half, rel=1e-9)
+        assert ds.ci_low == pytest.approx(max(mean - half, mu * (1 - q / 2)), rel=1e-9)
+        assert ds.ci_high == pytest.approx(min(mean + half, mu), rel=1e-9)
 
 
 class TestDirectionalParallel:
-    N = 2 * (3 * risk._BLOCK) + 7  # three full blocks and a partial fourth
+    """The reference's blocks on the thread pool."""
+
+    N = 3 * risk._BLOCK + 7  # three full blocks and a partial fourth
 
     def test_identical_for_any_worker_count(self, monkeypatch, example_2d):
         results = []
         for workers in (1, 3):
             monkeypatch.setattr(risk, "_WORKERS", workers)
             monkeypatch.setattr(risk, "_POOL", None)
-            results.append(directional_risk(example_2d, self.N, 11))
+            results.append(reference(example_2d, self.N, 11, tol=0.0))
             if risk._POOL is not None:
                 risk._POOL.shutdown()
         assert results[0] == results[1]
 
     def test_batch_equals_scalar_calls(self, example_2d):
         g2 = GaussianVec([-1.5, -2.5, -0.5], [[1.0, 0.2, 0.0], [0.2, 2.0, 0.3], [0.0, 0.3, 0.5]])
-        batch = directional_risks([example_2d, g2], self.N, [4, 5])
-        assert batch == [directional_risk(example_2d, self.N, 4), directional_risk(g2, self.N, 5)]
+        for tol in (0.0, REF_TOL):
+            batch = aloe_risks([example_2d, g2], self.N, [4, 5], tol)
+            assert batch == [reference(example_2d, self.N, 4, tol), reference(g2, self.N, 5, tol)]
 
     def test_checks_every_instance_before_drawing(self, monkeypatch, example_2d):
         def no_draw(task):
             raise AssertionError("drew before checking every instance")
 
-        monkeypatch.setattr(risk, "_directional_block", no_draw)
+        monkeypatch.setattr(risk, "_aloe_block", no_draw)
         with pytest.raises(ValueError, match="mean <= 0"):
-            directional_risks([example_2d, GaussianVec([-1.0, 0.5], np.eye(2))], 100, [0, 1])
+            aloe_risks([example_2d, GaussianVec([-1.0, 0.5], np.eye(2))], 100, [0, 1])
         with pytest.raises(ValueError, match="one seed per"):
-            directional_risks([example_2d, example_2d], 100, [0])
+            aloe_risks([example_2d, example_2d], 100, [0])
+        with pytest.raises(ValueError, match="half-width"):
+            aloe_risks([example_2d], 100, [0], -0.1)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_forked_child_after_pool_use(self, monkeypatch, example_2d):
         # the child inherits the pool object but not its threads
         monkeypatch.setattr(risk, "_WORKERS", 2)
-        expected = directional_risk(example_2d, self.N, 12)
+        expected = reference(example_2d, self.N, 12, tol=0.0)
         assert risk._POOL is not None
         ctx = multiprocessing.get_context("fork")
         with warnings.catch_warnings():
             # Python 3.12+ warns about forking a threaded process
             warnings.simplefilter("ignore", DeprecationWarning)
             with ctx.Pool(1) as pool:
-                child = pool.apply_async(directional_risk, (example_2d, self.N, 12)).get(timeout=60)
-        assert child == expected
+                child = pool.apply_async(aloe_risks, ([example_2d], self.N, [12], 0.0)).get(timeout=60)
+        assert child == [expected]
+
+    def test_stopping_point_independent_of_worker_count(self, monkeypatch):
+        # references that stop at different looks, and one at the cap
+        gs = [GaussianVec(-np.full(6, 3.6), np.eye(6))]
+        for rho, margin in ((0.5, 3.9), (0.9, 3.5), (0.9, 6.0)):
+            gs.append(GaussianVec(-np.full(12, margin), np.full((12, 12), rho) + (1 - rho) * np.eye(12)))
+        results = []
+        for workers in (1, 2):
+            monkeypatch.setattr(risk, "_WORKERS", workers)
+            monkeypatch.setattr(risk, "_POOL", None)
+            results.append([_dump_json(r) for r in aloe_risks(gs, 40_000, [1, 2, 3, 4])])
+            if risk._POOL is not None:
+                risk._POOL.shutdown()
+        assert results[0] == results[1]
+        assert len({json.loads(r)["n_samples"] for r in results[0]}) >= 3
 
 
 class TestChiTail:
-    """The reference kernel's own chi tail against mpmath, from psi = 1
-    down to psi = 1e-300, on both sides of the largest dimension its
-    finite sum serves."""
+    """``special.psi_array``, the chi tail every estimator evaluates,
+    against mpmath, from psi = 1 down to psi = 1e-300, up to d = 501."""
 
-    DIMS = [*range(1, 51), risk._SUM_MAX_D, risk._SUM_MAX_D + 1]
+    DIMS = [*range(1, 51), 500, 501]
 
     @pytest.mark.parametrize("d", DIMS)
     def test_relative_accuracy_into_deep_tail(self, d):
-        # the reference's interval has a half-width of at least 1e-12 of
-        # the estimate, the relative accuracy of psi itself
         t = np.linspace(0.0, math.sqrt(2.0 * gammainccinv(d / 2, 1e-300)), 41)
-        got = risk._chi_tail(t, d)
+        got = special.psi_array(t, d)
         for x, value in zip(t, got):
             want = mpmath.gammainc(mpmath.mpf(d) / 2, mpmath.mpf(x) ** 2 / 2, mpmath.inf, regularized=True)
             assert value == pytest.approx(float(want), rel=1e-12, abs=0), x
 
     @pytest.mark.parametrize("d", DIMS[:-1])
     def test_exact_at_zero_and_beyond_double_range(self, d):
-        # no overflow or NaN on the way: only the final factors underflow
-        with np.errstate(all="raise", under="ignore"):
-            got = risk._chi_tail(np.array([0.0, math.inf, 1e200, risk._SUM_MAX_T]), d)
+        # no NaN on the way: a radius whose square overflows reads as inf
+        with np.errstate(invalid="raise", divide="raise", over="ignore", under="ignore"):
+            got = special.psi_array(np.array([0.0, math.inf, 1e200, math.sqrt(3000.0)]), d)
         assert got.tolist() == [1.0, 0.0, 0.0, 0.0]
 
 
@@ -537,7 +569,8 @@ class TestMarginBeyondDoubleRange:
         assert g.radii.tolist() == [math.inf]
         for estimate in (risk_spectral, risk_first_order, risk_dth_order, risk_exact_1d, risk_nakka_chung):
             assert estimate(g).value == 0.0
-        assert directional_risk(g, 1000, 0).estimate == 0.0
+        ds = reference(g, 1000, 0)
+        assert (ds.estimate, ds.ci_low, ds.ci_high, ds.n_samples) == (0.0, 0.0, 0.0, 0)
 
     @pytest.mark.parametrize(
         "radii,want",
@@ -549,15 +582,15 @@ class TestMarginBeyondDoubleRange:
 
     def test_reference(self):
         g = GaussianVec([-1e200, -1e-149], np.diag([1e-300, 1e-300]))
-        ds = directional_risk(g, 10**4, 3)
+        ds = reference(g, 10**4, 3)
         truth = float(mpmath.ncdf(-10))
         assert abs(ds.estimate - truth) <= 5 * ds.ci_halfwidth
 
     def test_reference_direction_beyond_double_range(self):
-        # 1 / |mean| = 1e300 times (L z) ~ 1e10 overflows in the block kernel;
-        # the margin itself is 1e-310, so the risk is 1/2
+        # a margin of 1e-300 against a spread of 1e10: the standardized
+        # margin is 1e-310, subnormal, so the risk is 1/2
         g = scalar(-1e-300, 1e20)
-        assert directional_risk(g, 1000, 0).estimate == pytest.approx(0.5, rel=1e-12)
+        assert reference(g, 1000, 0).estimate == pytest.approx(0.5, rel=1e-12)
 
 
 def _correlated_gaussian(kind, d, seed, lo):
@@ -580,12 +613,15 @@ def _correlated_gaussian(kind, d, seed, lo):
 
 
 class TestDirectionalRisk:
+    """The reference risk, ``risk.aloe_risks``, one distribution at a time."""
+
     # k = 37 puts the risk at 5.7e-300
     @pytest.mark.parametrize("k", [*range(1, 10), 12, 20, 30, 37])
     @pytest.mark.parametrize("sigma", [0.7, 3.1])
     def test_d1_exact(self, k, sigma):
+        # one constraint: every draw violates it alone, S = 1, and gives mu
         truth = float(mpmath.ncdf(-k))
-        ds = directional_risk(scalar(-k * sigma, sigma * sigma), 1000, k)
+        ds = reference(scalar(-k * sigma, sigma * sigma), 1000, k)
         assert ds.estimate == pytest.approx(truth, rel=1e-12, abs=0)
         assert ds.ci_low <= truth <= ds.ci_high
 
@@ -602,37 +638,44 @@ class TestDirectionalRisk:
         for r in margins:
             g = GaussianVec(-r * sigma, cov)
             mc = mc_risk(g, 10**6, 1)
-            ds = directional_risk(g, 10**5, 2)
+            ds = reference(g, 10**5, 2)
             assert 1e-3 <= mc.estimate <= 0.5
             assert abs(ds.estimate - mc.estimate) <= 5 * math.hypot(ds.ci_halfwidth, mc.ci_halfwidth)
 
     def test_zero_mean_component(self):
-        # the first constraint is active at the origin: every ray with a
-        # positive first component fails at radius 0
-        ds = directional_risk(GaussianVec([0.0, -2.0], np.eye(2)), 10**5, 0)
+        # the first constraint is active at the origin
+        ds = reference(GaussianVec([0.0, -2.0], np.eye(2)), 10**5, 0)
         truth = 1.0 - 0.5 * float(mpmath.ncdf(2.0))
         assert math.isfinite(ds.estimate)
         assert abs(ds.estimate - truth) <= 5 * ds.ci_halfwidth
 
     def test_rejects_positive_mean_and_empty_draw(self, example_2d):
         with pytest.raises(ValueError):
-            directional_risk(GaussianVec([0.5, -1.0], np.eye(2)), 100, 0)
+            reference(GaussianVec([0.5, -1.0], np.eye(2)), 100, 0)
         with pytest.raises(ValueError):
-            directional_risk(example_2d, 0, 0)
+            reference(example_2d, 0, 0)
 
     def test_deterministic_per_seed(self, example_2d):
-        a = directional_risk(example_2d, 10**4, 123)
-        assert directional_risk(example_2d, 10**4, 123) == a
-        assert directional_risk(example_2d, 10**4, 124).estimate != a.estimate
+        # example_2d's constraints are negatively correlated and never fail
+        # together: every draw gives the Boole sum, whatever the seed
+        g = GaussianVec(example_2d.mean, [[1.1, 0.8], [0.8, 1.0]])
+        a = reference(g, 10**4, 123)
+        assert reference(g, 10**4, 123) == a
+        assert reference(g, 10**4, 124).estimate != a.estimate
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_pair_has_no_interval(self, n, example_2d):
-        ds = directional_risk(example_2d, n, 0)
-        assert (ds.ci_low, ds.ci_high) == (0.0, 1.0)
-        assert 0.0 < ds.estimate < 1.0
+        # one or two draws leave the empirical-Bernstein bound wider than
+        # the values' range: the interval is the Clopper-Pearson one, up to
+        # the Boole sum mu and no lower than mu / m
+        mu = float(sum(mpmath.ncdf(-x) for x in example_2d.radii))
+        ds = reference(example_2d, n, 0)
+        assert ds.n_samples == n
+        assert ds.ci_high == pytest.approx(mu, rel=1e-12)
+        assert mu / 2 <= ds.ci_low < ds.estimate < 1.0
 
     def test_serialization_names_estimator(self, example_2d):
-        assert json.loads(_dump_json(directional_risk(example_2d, 10, 0)))["estimator"] == "directional"
+        assert json.loads(_dump_json(reference(example_2d, 10, 0)))["estimator"] == "aloe"
         assert json.loads(_dump_json(mc_risk(example_2d, 10, 0)))["estimator"] == "counting"
 
     @settings(max_examples=150, deadline=None)
@@ -646,5 +689,76 @@ class TestDirectionalRisk:
         # the only upper-bound check on correlated instances in the tail,
         # where plain counting sees no hits
         g = _correlated_gaussian(kind, d, seed, lo)
-        ds = directional_risk(g, 20_000, seed)
+        ds = reference(g, 20_000, seed)
         assert risk_dth_order(g).value >= ds.estimate - 5 * ds.ci_halfwidth
+
+
+def _independent(d, margin):
+    return GaussianVec(-np.full(d, margin), np.eye(d))
+
+
+def _equicorrelated(d, margin, rho):
+    return GaussianVec(-np.full(d, margin), np.full((d, d), rho) + (1.0 - rho) * np.eye(d))
+
+
+class TestAloeInterval:
+    """The reference's 95% interval: its coverage, its stopping rule and
+    the edges of its draws."""
+
+    SEEDS = list(range(20))
+
+    @pytest.mark.parametrize(
+        "g,truth",
+        [
+            # independent components at risks of about 1e-3, 1e-7 and 1e-10
+            *(
+                (_independent(d, r), mp_independent_risk([r] * d))
+                for d, margins in ((6, (3.59, 5.52, 6.63)), (25, (3.94, 5.77, 6.84)))
+                for r in margins
+            ),
+            # equicorrelated at risks of 1.0e-3 and 1.2e-8; rho = 0.9 is
+            # ALOE's weak case, where many constraints fail together
+            (_equicorrelated(25, 3.91, 0.5), mp_equicorrelated_risk(3.91, 0.5, 25)),
+            (_equicorrelated(25, 6.0, 0.9), mp_equicorrelated_risk(6.0, 0.9, 25)),
+        ],
+        ids=["d6-1e-3", "d6-1e-7", "d6-1e-10", "d25-1e-3", "d25-1e-7", "d25-1e-10", "rho0.5", "rho0.9"],
+    )
+    def test_covers_the_exact_risk(self, g, truth):
+        truth = float(truth)
+        results = aloe_risks([g] * len(self.SEEDS), 10**6, self.SEEDS)
+        covered = sum(r.ci_low <= truth <= r.ci_high for r in results)
+        assert covered >= 0.95 * len(results)
+        # each stopped at its target, well before the cap
+        assert all(r.ci_halfwidth <= REF_TOL * r.estimate and r.n_samples < 10**6 for r in results)
+
+    def test_tighter_target_draws_more(self):
+        g = _equicorrelated(12, 3.5, 0.5)
+        loose, tight = (reference(g, 10**6, 3, tol) for tol in (0.01, 0.002))
+        assert tight.n_samples > loose.n_samples
+        assert tight.ci_halfwidth <= 0.002 * tight.estimate
+
+    def test_cap_reached_before_the_target(self):
+        # rho = 0.9 needs far more than 2000 draws for a 1% half-width
+        g = _equicorrelated(25, 3.5, 0.9)
+        truth = float(mp_equicorrelated_risk(3.5, 0.9, 25))
+        ds = reference(g, 2000, 5)
+        assert ds.n_samples == 2000
+        assert ds.ci_halfwidth > REF_TOL * ds.estimate
+        assert 0.0 < ds.ci_low <= truth <= ds.ci_high < 1.0
+
+    @pytest.mark.parametrize("raw", [0.0, float(np.nextafter(1.0, 0.0))], ids=["u-one", "u-least"])
+    def test_extreme_uniforms_give_no_nan(self, monkeypatch, raw):
+        # u = 1 - raw: raw = 0 puts t at the margin; raw just below 1 picks
+        # the second constraint and makes u p_j = 2^-53 * 1.5e-308 round to
+        # 0, where t = inf would meet the 0 correlation with the first
+        class Edge(np.random.Generator):
+            def random(self, size=None):
+                return np.full(size, raw)
+
+        monkeypatch.setattr(np.random, "Generator", Edge)
+        g = GaussianVec([-37.53, -37.53], np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise", under="ignore"):
+                counts = risk._aloe_block((risk._events(g), 0, 0, 64))
+        assert counts.sum() == 64 and counts[0] == 0
