@@ -4,7 +4,7 @@ importance-sampling (ALOE) reference, and a conservatism metric for
 comparing methods. The plain-counting oracles that check them live with
 the tests."""
 
-from .conservatism import ConservatismReport, conservatism, hierarchy_report, hierarchy_reports
+from .conservatism import ConservatismReport, hierarchy_report, hierarchy_reports
 from .gaussian import GaussianVec, constraint_distribution, linearized_norm_constraint
 from .linalg import NotPositiveDefiniteError, NotPositiveSemidefiniteError, congruence, spectral_radius_sqrt
 from .risk import (

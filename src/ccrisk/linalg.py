@@ -45,8 +45,7 @@ def as_symmetric(S) -> np.ndarray:
     S = np.asarray(S, dtype=float)
     if S.ndim != 2 or S.shape[0] != S.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    scale = max(np.abs(S).max(initial=0.0), 1.0)
-    if np.abs(S - S.T).max(initial=0.0) > _SYM_RTOL * scale:
+    if np.abs(S - S.T).max(initial=0.0) > _SYM_RTOL * np.abs(S).max(initial=0.0):
         raise ValueError("matrix is not symmetric within tolerance")
     return 0.5 * (S + S.T)
 
@@ -61,14 +60,22 @@ def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
     try:
         M = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:
-        # numpy drops LAPACK's index: the last pivot, unless a leading block fails first
-        _cholesky(S[:-1, :-1], tol)
-        raise NotPositiveDefiniteError(f"pivot at index {len(S) - 1} not positive, tolerance {tol:.3e}") from None
+        # numpy drops LAPACK's index: bisect for the largest leading block
+        # that factors, whose size is the failing pivot's index
+        M, hi = np.zeros((0, 0)), len(S)
+        while hi - len(M) > 1:
+            mid = (len(M) + hi) // 2
+            try:
+                M = np.linalg.cholesky(S[:mid, :mid])
+            except np.linalg.LinAlgError:
+                hi = mid
     pivots = M.diagonal() ** 2
-    # initial: the recursion above reaches an empty leading block
+    # initial: the leading block that factors may be empty
     if not pivots.min(initial=np.inf) > tol:
         j = np.flatnonzero(~(pivots > tol))[0]
         raise NotPositiveDefiniteError(f"pivot {pivots[j]:.3e} at index {j} below tolerance {tol:.3e}")
+    if len(M) < len(S):
+        raise NotPositiveDefiniteError(f"pivot at index {len(M)} not positive, tolerance {tol:.3e}")
     return M
 
 

@@ -413,6 +413,60 @@ class TestMainEntry:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
         assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("table", ["table1", "table2"])
+    def test_quick_leaves_tables_unchanged(self, table, fmt, capsys):
+        outputs = []
+        for flags in ([], ["--quick"]):
+            assert main([*flags, "--format", fmt, table]) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("quick", [[], ["--quick"]])
+    @pytest.mark.parametrize(
+        "argv,cap",
+        [
+            (["sweep", "--dims", "1"], 10**5),
+            (["table1"], 10**6),
+            (["table2"], 10**6),
+            (["check", "--mc", "PAYLOAD"], 10**6),
+        ],
+    )
+    def test_default_mc_samples(self, argv, cap, quick, tmp_path, monkeypatch):
+        payload = tmp_path / "in.json"
+        payload.write_text(json.dumps({"mean": [-3.0], "cov": [[1.0]], "beta": 1e-3}))
+        seen = []
+        stubs = {
+            "run_table1": lambda n, *rest: seen.append(n) or {},
+            "run_table2": lambda target, n, *rest: seen.append(n) or {},
+            "run_sweep": lambda dims, n_dists, beta, n, *rest: seen.append(n) or [],
+            "run_check": lambda data, n, *rest: seen.append(n) or {"risk_estimates": []},
+        }
+        for name, stub in stubs.items():
+            monkeypatch.setattr(ccrisk.cli, name, stub)
+        argv = [str(payload) if a == "PAYLOAD" else a for a in argv]
+        assert main([*quick, "--format", "json", "--out", str(tmp_path / "out"), *argv]) == EXIT_OK
+        assert seen == [cap]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
+    def test_check_symmetry_tolerance_is_scale_free(self, scale, tmp_path, capsys):
+        path = tmp_path / "in.json"
+        mean = [-3.0 * math.sqrt(scale), -2.0 * math.sqrt(scale)]
+        for off, code in ((0.9 * scale, EXIT_USAGE), (0.0, EXIT_OK)):
+            path.write_text(json.dumps({"mean": mean, "cov": [[scale, 0.0], [off, scale]], "beta": 1e-3}))
+            assert main(["check", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == "error: matrix is not symmetric within tolerance\n"
+
+    def test_check_non_positive_definite_at_large_dimension(self, tmp_path, capsys):
+        cov = np.eye(1200)
+        cov[0, 0] = -1.0
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"mean": [-1.0] * 1200, "cov": cov.tolist(), "beta": 1e-3}))
+        assert main(["check", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: pivot at index 0 not positive") and err.count("\n") == 1
+
     def test_mc_samples_zero_table1_is_risk_only(self, capsys):
         assert main(["--mc-samples", "0", "--format", "json", "table1"]) == EXIT_OK
         result = json.loads(capsys.readouterr().out)

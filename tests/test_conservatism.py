@@ -153,7 +153,6 @@ class TestOnePathToTheReference:
     def drawn(self, monkeypatch):
         """The batches of references drawn through ``hierarchy_reports``."""
         batches = []
-        # the package's ``conservatism`` attribute is the function of that name
         module = importlib.import_module("ccrisk.conservatism")
         draw = module.aloe_risks
 
@@ -178,3 +177,12 @@ class TestOnePathToTheReference:
         monkeypatch.setattr(importlib.import_module("ccrisk.experiments"), "_SWEEP_BATCH", 4)
         run_sweep((1, 2, 3), 3, 1e-3, 2000, 7)
         assert [len(batch) for batch in drawn] == [3, 3, 3]
+
+
+def test_package_attribute_is_the_submodule():
+    # the package re-exports no name of a submodule, so the function
+    # ``conservatism`` does not hide its module
+    import ccrisk
+
+    assert importlib.import_module("ccrisk.conservatism") is ccrisk.conservatism
+    assert ccrisk.conservatism.hierarchy_reports is hierarchy_reports

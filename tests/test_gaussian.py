@@ -88,6 +88,15 @@ class TestGaussianVec:
             GaussianVec(mean, cov)
         assert type(info.value) is error and str(info.value) == message
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e300])
+    def test_symmetry_tolerance_is_scale_free(self, scale):
+        # the asymmetry is 0.9 of the largest entry at every scale
+        mean = [-3.0 * math.sqrt(scale), -2.0 * math.sqrt(scale)]
+        with pytest.raises(ValueError, match="not symmetric within tolerance"):
+            GaussianVec(mean, [[scale, 0.0], [0.9 * scale, scale]])
+        g = GaussianVec(mean, [[scale, 0.3 * scale], [0.3 * scale, scale]])
+        assert np.array_equal(g.cov, g.cov.T)
+
     def test_input_mutation_leaves_it_unchanged(self):
         m = np.array([-1.0, -2.0])
         c = np.array([[1.0, 0.2], [0.2, 1.0]])

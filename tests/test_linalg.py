@@ -111,6 +111,26 @@ class TestCholesky:
         assert type(info.value) is NotPositiveDefiniteError
         assert f"at index {index}" in str(info.value) and "tolerance" in str(info.value)
 
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            ({0: -1.0}, "pivot at index 0 not positive"),
+            ({1: -1.0}, "pivot at index 1 not positive"),
+            ({700: -1.0}, "pivot at index 700 not positive"),
+            ({1199: -1.0}, "pivot at index 1199 not positive"),
+            # a pivot below tolerance ahead of the one LAPACK stops at
+            ({300: 1e-15, 700: -1.0}, "pivot 1.000e-15 at index 300 below tolerance"),
+        ],
+    )
+    def test_failure_index_at_large_dimension(self, bad, message):
+        # the leading blocks are bisected, so d = 1200 takes about 11
+        # factorizations and no recursion
+        s = np.eye(1200)
+        for j, value in bad.items():
+            s[j, j] = value
+        with pytest.raises(NotPositiveDefiniteError, match=message):
+            _cholesky(s)
+
     @settings(max_examples=40, deadline=None)
     @given(spd_matrices(min_dim=2), st.integers(0, 28), st.sampled_from([0.0, -1e-3, 1e-16]))
     def test_degenerate_never_raises_linalg_error(self, s, k, shift):
