@@ -3,8 +3,8 @@
 
 Prints the signed standardized margins, then, from one
 ``hierarchy_report``, the ALOE reference risk (drawn to a 1% relative
-half-width), the three multidimensional risk estimates and the
-conservatism of each method on the constraint
+half-width), the risk estimates of the multidimensional methods and the
+conservatism of each on the constraint
 y ~ N([-2, -1], [[1.1, -0.8], [-0.8, 1]]).
 """
 
@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from ccrisk import GaussianVec, hierarchy_report
+from ccrisk import MULTIDIMENSIONAL, GaussianVec, hierarchy_report
 
 
 def main() -> int:
@@ -33,10 +33,10 @@ def main() -> int:
     ref = report.beta_r
     print(f"ALOE reference beta_R = {ref.estimate:.6f} "
           f"(95% CI [{ref.ci_low:.6f}, {ref.ci_high:.6f}], n={ref.n_samples})")
-    # the report keys the estimates by estimator, loosest first; the lines
-    # name them by transcription
-    for name, (m, est) in zip(("spectral_radius", "first_order", "dth_order"), report.estimates.items()):
-        print(f"{name:16s} beta_T = {est.value:.6f}  conservatism = {report.gamma[m]:.3f}")
+    # the report holds the estimates of MULTIDIMENSIONAL in its order, keyed
+    # by estimator; the lines name them by transcription
+    for m, est in zip(MULTIDIMENSIONAL, report.estimates.values()):
+        print(f"{m.value:16s} beta_T = {est.value:.6f}  conservatism = {report.gamma[est.method]:.3f}")
     return 0
 
 

@@ -20,6 +20,7 @@ from .risk import (
 )
 from .transcription import (
     METHODS,
+    MULTIDIMENSIONAL,
     Method,
     TranscriptionVerdict,
     bound_linear_1d,

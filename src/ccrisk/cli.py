@@ -124,7 +124,8 @@ def sweep_plot_data(rows: list[dict]) -> str:
 
 def _dump_json(obj) -> str:
     """JSON text of a record: a result dataclass as an object of its fields
-    in declaration order, an array as a list, and +-inf as "inf"."""
+    in declaration order, an array as a list, and +-inf as "inf"; a NaN
+    raises ValueError, as it has no JSON form."""
 
     def clean(o):
         if isinstance(o, float) and math.isinf(o):
@@ -139,7 +140,7 @@ def _dump_json(obj) -> str:
             return [clean(v) for v in o]
         return o
 
-    return json.dumps(clean(obj), indent=2) + "\n"
+    return json.dumps(clean(obj), indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(text: str, out_path) -> None:
@@ -290,9 +291,9 @@ def _resolve_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    # a ValueError or KeyError from the flags or from check's input is a
-    # usage error; from a table or the sweep it is a domain error
-    usage_errors = (ValueError, KeyError)
+    # a ValueError from the flags or from check's input is a usage error;
+    # from a table or the sweep it is a domain error
+    usage_errors = (ValueError,)
     try:
         try:
             args = build_parser().parse_args(argv)

@@ -7,15 +7,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .gaussian import GaussianVec
-from .risk import (
-    REF_TOL,
-    McEstimate,
-    RiskEstimate,
-    aloe_risks,
-    risk_dth_order,
-    risk_first_order,
-    risk_spectral,
-)
+from .risk import REF_TOL, McEstimate, RiskEstimate, aloe_risks
+from .transcription import METHODS, MULTIDIMENSIONAL
 
 __all__ = ["conservatism", "gamma_or_inf", "ConservatismReport", "hierarchy_report", "hierarchy_reports"]
 
@@ -45,10 +38,12 @@ class ConservatismReport:
     """Per-method risk estimates and conservatism against one ALOE
     reference (``risk.aloe_risks``).
 
-    ``estimates`` and ``gamma`` are keyed by method, loosest first:
-    ``spectral``, ``first_order``, ``dth_order``. ``hierarchy_ok`` certifies
-    the exact estimator ordering dth <= first <= spectral plus statistical
-    consistency of the reference with the tightest estimator.
+    ``estimates`` and ``gamma`` hold the estimators of the methods in
+    ``transcription.MULTIDIMENSIONAL``, in its order (loosest first), keyed
+    by ``RiskEstimate.method``: ``spectral``, ``first_order``,
+    ``dth_order``. ``hierarchy_ok`` certifies the exact estimator ordering
+    dth <= first <= spectral plus statistical consistency of the reference
+    with the tightest estimator.
     """
 
     beta_r: McEstimate
@@ -73,16 +68,11 @@ def gamma_or_inf(beta_t: float, beta_r: float) -> Optional[float]:
     return conservatism(beta_t, beta_r)
 
 
-def _estimates(g: GaussianVec) -> dict[str, RiskEstimate]:
-    """The three multidimensional estimators, loosest first."""
-    return {"spectral": risk_spectral(g), "first_order": risk_first_order(g), "dth_order": risk_dth_order(g)}
-
-
 def hierarchy_reports(gs, mc_n: int, seeds, ref_tol: float = REF_TOL) -> list[ConservatismReport]:
-    """Compute the three multidimensional estimators, the reference risk
-    (``aloe_risks`` to a relative half-width of ``ref_tol``, at most
-    ``mc_n`` draws, one seed per distribution), and their conservatism
-    values on each distribution in ``gs``.
+    """Compute the estimators of ``transcription.MULTIDIMENSIONAL``, the
+    reference risk (``aloe_risks`` to a relative half-width of ``ref_tol``,
+    at most ``mc_n`` draws, one seed per distribution), and their
+    conservatism values on each distribution in ``gs``.
 
     Requires mean <= 0 componentwise (the estimators are undefined
     otherwise); the reference checks every input before it draws. Each
@@ -93,7 +83,7 @@ def hierarchy_reports(gs, mc_n: int, seeds, ref_tol: float = REF_TOL) -> list[Co
     gs = list(gs)
     reports = []
     for g, ref in zip(gs, aloe_risks(gs, mc_n, seeds, ref_tol)):
-        estimates = _estimates(g)
+        estimates = {e.method: e for e in (METHODS[m][1](g) for m in MULTIDIMENSIONAL)}
         values = [e.value for e in estimates.values()]
         hierarchy_ok = bool(
             all(a >= b for a, b in zip(values, values[1:]))

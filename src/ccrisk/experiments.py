@@ -19,6 +19,7 @@ every draw gives the exact risk, and the quick sweep's references at risk
 
 from __future__ import annotations
 
+import itertools
 import math
 import reprlib
 
@@ -30,7 +31,7 @@ from .gaussian import GaussianVec
 from .linalg import NotPositiveDefiniteError
 from .risk import REF_TOL, risk_first_order, risk_nakka_chung, risk_norm_spectral
 from .special import psi_inv
-from .transcription import METHODS
+from .transcription import METHODS, MULTIDIMENSIONAL, Method
 
 
 # ---------------------------------------------------------------------------
@@ -77,9 +78,15 @@ def _sub_seed(seed: int, *key: int) -> int:
     return int(np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1, dtype=np.uint64)[0])
 
 
+_BOX_STATS = ("median", "q1", "q3", "whisker_lo", "whisker_hi")
+
+
 def _box_stats(values) -> dict:
-    """Median, quartiles, and 1.5-IQR whiskers of a sample (inf-tolerant)."""
-    values = np.asarray(values, dtype=float)
+    """Median, quartiles, and 1.5-IQR whiskers of a sample (inf-tolerant),
+    leaving out undefined (None) values; all None when none is left."""
+    values = np.array([v for v in values if v is not None], dtype=float)
+    if not values.size:
+        return dict.fromkeys(_BOX_STATS)
     if not np.isfinite(values).any():
         q1 = med = q3 = math.inf
     else:
@@ -99,42 +106,33 @@ def _box_stats(values) -> dict:
     in_hi = values[values <= hi_cut]
     whisker_lo = float(np.min(in_lo)) if in_lo.size else q1
     whisker_hi = float(np.max(in_hi)) if in_hi.size else q3
-    return {
-        "median": med,
-        "q1": q1,
-        "q3": q3,
-        "whisker_lo": whisker_lo,
-        "whisker_hi": whisker_hi,
-    }
+    return dict(zip(_BOX_STATS, (med, q1, q3, whisker_lo, whisker_hi)))
 
 
-# instances whose references the sweep draws in one batch, in whole
-# dimensions: the full sweep's one dimension. Each round of the reference's
-# blocks then spans many instances, and memory stays bounded.
+# instances whose references the sweep draws in one batch, cut in order of
+# dimension and distribution: the full sweep's one dimension. Each round of
+# the reference's blocks then spans many instances, and memory stays bounded.
 _SWEEP_BATCH = 1000
 
 
 def run_sweep(dims, n_dists: int, beta: float, mc_samples: int, seed: int, ref_tol: float = REF_TOL) -> list[dict]:
     """Conservatism sweep over dimensions; one record per (dim, method)."""
+    gammas, n_rejected = {d: [] for d in dims}, dict.fromkeys(dims, 0)
+    # (dimension, distribution, rejections, reference seed) of each instance
+    # in order, drawn as the batches need them; each dimension has its own stream
+    rngs = {d: np.random.default_rng(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(d,)))) for d in dims}
+    instances = ((d, *_generate_instance(d, beta, rngs[d]), _sub_seed(seed, d, i)) for d in dims for i in range(n_dists))
+    while batch := list(itertools.islice(instances, _SWEEP_BATCH)):
+        ds, gs, rejected, seeds = zip(*batch)
+        for d, rej, report in zip(ds, rejected, hierarchy_reports(gs, mc_samples, seeds, ref_tol)):
+            gammas[d].append(report.gamma)
+            n_rejected[d] += rej
     rows = []
-    per_batch = max(_SWEEP_BATCH // n_dists, 1)
-    for group in (dims[k : k + per_batch] for k in range(0, len(dims), per_batch)):
-        instances, seeds, n_rejected = [], [], []
-        for d in group:
-            gen_rng = np.random.default_rng(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(d,))))
-            n_rejected.append(0)
-            for i in range(n_dists):
-                g, rej = _generate_instance(d, beta, gen_rng)
-                n_rejected[-1] += rej
-                instances.append(g)
-                seeds.append(_sub_seed(seed, d, i))
-        reports = hierarchy_reports(instances, mc_samples, seeds, ref_tol)
-        for k, d in enumerate(group):
-            mine = reports[k * n_dists : (k + 1) * n_dists]
-            for method in mine[0].gamma:
-                row = {"dim": d, "method": method, "n_rejected": n_rejected[k]}
-                row.update(_box_stats([r.gamma[method] for r in mine]))
-                rows.append(row)
+    for d in dims:
+        for method in gammas[d][0]:
+            row = {"dim": d, "method": method, "n_rejected": n_rejected[d]}
+            row.update(_box_stats([gamma[method] for gamma in gammas[d]]))
+            rows.append(row)
     return rows
 
 
@@ -242,8 +240,9 @@ def run_check(payload: dict, mc_samples: int = 0, seed: int = 0, ref_tol: float 
 
     ``payload`` is the decoded ``check`` input: ``mean`` and ``cov`` (JSON
     numbers or nested lists of them), ``beta`` (a number in (0, 1)) and an
-    optional nonempty ``methods`` list of ``Method`` names. Every input is
-    checked before any method runs; malformed input raises ValueError.
+    optional nonempty ``methods`` list of ``Method`` names, by default
+    ``MULTIDIMENSIONAL``, the others for d = 1 only. Every input is checked
+    before any method runs; malformed input raises ValueError.
 
     Returns the report: ``beta``, the ``TranscriptionVerdict`` and
     ``RiskEstimate`` of each requested method, and with ``mc_samples`` > 0
@@ -256,14 +255,16 @@ def run_check(payload: dict, mc_samples: int = 0, seed: int = 0, ref_tol: float 
     beta = float(_numbers(payload, "beta", scalar=True))
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly in (0, 1)")
-    # the default is the three multidimensional methods
-    methods = payload.get("methods", list(METHODS)[:3])
+    methods = payload.get("methods", list(MULTIDIMENSIONAL))
     if not isinstance(methods, list) or not methods:
         raise ValueError('"methods" must be a nonempty list')
     for m in methods:
         # a list or object entry is unhashable, so test the type first
         if not isinstance(m, str) or m not in METHODS:
             raise ValueError(f"unknown method {reprlib.repr(m)}; choose from {tuple(k.value for k in METHODS)}")
+    scalar_only = [Method(m).value for m in methods if m not in MULTIDIMENSIONAL]
+    if scalar_only and g.dim != 1:
+        raise ValueError(f"method {scalar_only[0]!r} only applies to scalar constraints")
     verdicts = []
     estimates = []
     for m in methods:

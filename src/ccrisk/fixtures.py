@@ -8,7 +8,7 @@ handled here rather than silently:
 - The printed scalar variance of the linearized control-magnitude
   constraint (1.01e-4 N^2) does not exactly match what the 3-significant-
   figure control covariance reproduces (1.033e-4 N^2). The fixture carries
-  the printed scalar pair (CONTROL_Y_MEAN, CONTROL_Y_VAR) for the
+  the printed scalar pair (control_y_mean, control_y_var) for the
   one-dimensional rows of the control-constraint comparison, and the full
   matrices for the spectral-radius row.
 - The printed 6x6 terminal covariance is indefinite by a sliver because of
@@ -24,8 +24,6 @@ claim for the box-constraint table requires supplying the true target.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .gaussian import GaussianVec
@@ -38,50 +36,48 @@ __all__ = [
     "box_constraint_distribution",
 ]
 
-# Nominal first thrust vector [N] and its covariance [N^2].
-U0_MEAN = np.array([0.15567, 0.42294, -0.033632])
-SIGMA_U0 = np.array(
-    [
-        [1.49e-6, -6.68e-6, -1.28e-7],
-        [-6.68e-6, 1.23e-4, 1.91e-6],
-        [-1.28e-7, 1.91e-6, 4.36e-8],
-    ]
-)
-U_MAX = 0.5  # [N]
 
-# Published scalar distribution of the linearized constraint ||u|| - u_max.
-CONTROL_Y_MEAN = -0.048070  # [N]
-CONTROL_Y_VAR = 1.01e-4  # [N^2]
-
-# Terminal state covariance (open-loop propagation), normalized units.
-# Indefinite as printed; see terminal_state_cov().
-SIGMA_XN_RAW = np.array(
-    [
-        [1.09e-10, 1.24e-10, 5.74e-13, -4.27e-11, 6.06e-11, 7.51e-13],
-        [1.24e-10, 1.45e-10, 7.65e-13, -4.82e-11, 7.04e-11, 9.23e-13],
-        [5.74e-13, 7.65e-13, 3.58e-13, -2.07e-13, 3.58e-13, 3.49e-13],
-        [-4.27e-11, -4.82e-11, -2.07e-13, 1.67e-11, -2.35e-11, -2.81e-13],
-        [6.06e-11, 7.04e-11, 3.58e-13, -2.35e-11, 3.41e-11, 4.39e-13],
-        [7.51e-13, 9.23e-13, 3.49e-13, -2.81e-13, 4.39e-13, 3.42e-13],
-    ]
-)
-
-# Relative tolerance of the terminal box constraints.
-EPSILON = 5e-5
-
-# Placeholder target state [position; velocity] in normalized units.
-DEFAULT_TARGET_STATE = np.array([0.94, 1.20, 0.084, 0.057, 0.18, 0.023])
+def _read_only(rows) -> np.ndarray:
+    a = np.array(rows, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
-@dataclass(frozen=True)
 class EarthMarsFixture:
-    u0_mean: np.ndarray = field(default_factory=lambda: U0_MEAN.copy())
-    sigma_u0: np.ndarray = field(default_factory=lambda: SIGMA_U0.copy())
-    u_max: float = U_MAX
-    control_y_mean: float = CONTROL_Y_MEAN
-    control_y_var: float = CONTROL_Y_VAR
-    sigma_xN: np.ndarray = field(default_factory=lambda: SIGMA_XN_RAW.copy())
-    epsilon: float = EPSILON
+    """The published data, as read-only class attributes."""
+
+    __slots__ = ()
+
+    # Nominal first thrust vector [N] and its covariance [N^2].
+    u0_mean = _read_only([0.15567, 0.42294, -0.033632])
+    sigma_u0 = _read_only(
+        [
+            [1.49e-6, -6.68e-6, -1.28e-7],
+            [-6.68e-6, 1.23e-4, 1.91e-6],
+            [-1.28e-7, 1.91e-6, 4.36e-8],
+        ]
+    )
+    u_max = 0.5  # [N]
+
+    # Published scalar distribution of the linearized constraint ||u|| - u_max.
+    control_y_mean = -0.048070  # [N]
+    control_y_var = 1.01e-4  # [N^2]
+
+    # Terminal state covariance (open-loop propagation), normalized units.
+    # Indefinite as printed; see terminal_state_cov().
+    sigma_xN = _read_only(
+        [
+            [1.09e-10, 1.24e-10, 5.74e-13, -4.27e-11, 6.06e-11, 7.51e-13],
+            [1.24e-10, 1.45e-10, 7.65e-13, -4.82e-11, 7.04e-11, 9.23e-13],
+            [5.74e-13, 7.65e-13, 3.58e-13, -2.07e-13, 3.58e-13, 3.49e-13],
+            [-4.27e-11, -4.82e-11, -2.07e-13, 1.67e-11, -2.35e-11, -2.81e-13],
+            [6.06e-11, 7.04e-11, 3.58e-13, -2.35e-11, 3.41e-11, 4.39e-13],
+            [7.51e-13, 9.23e-13, 3.49e-13, -2.81e-13, 4.39e-13, 3.42e-13],
+        ]
+    )
+
+    # Relative tolerance of the terminal box constraints.
+    epsilon = 5e-5
 
     def control_constraint(self) -> GaussianVec:
         """Scalar distribution of the linearized control-magnitude constraint."""
@@ -93,6 +89,9 @@ class EarthMarsFixture:
 
 
 DEFAULT_FIXTURE = EarthMarsFixture()
+
+# Placeholder target state [position; velocity] in normalized units.
+DEFAULT_TARGET_STATE = _read_only([0.94, 1.20, 0.084, 0.057, 0.18, 0.023])
 
 
 def box_constraint_distribution(

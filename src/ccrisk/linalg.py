@@ -50,13 +50,12 @@ def as_symmetric(S) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def _cholesky(S: np.ndarray, tol: float | None = None) -> np.ndarray:
+def _cholesky(S: np.ndarray) -> np.ndarray:
     """Lower-triangular factor M with M @ M.T == S of an exactly symmetric S
     (``as_symmetric``'s output), by LAPACK. A pivot M[j, j]**2 at or below
-    ``tol`` (default: _CHOL_PIVOT_RTOL times the largest diagonal entry) or
-    NaN raises NotPositiveDefiniteError naming j."""
-    if tol is None:
-        tol = _CHOL_PIVOT_RTOL * max(float(S.diagonal().max(initial=0.0)), 0.0)
+    _CHOL_PIVOT_RTOL times the largest diagonal entry, or NaN, raises
+    NotPositiveDefiniteError naming j."""
+    tol = _CHOL_PIVOT_RTOL * max(float(S.diagonal().max(initial=0.0)), 0.0)
     try:
         M = np.linalg.cholesky(S)
     except np.linalg.LinAlgError:

@@ -21,6 +21,7 @@ from .special import psi_inv
 
 __all__ = [
     "METHODS",
+    "MULTIDIMENSIONAL",
     "Method",
     "TranscriptionVerdict",
     "bound_norm_spectral",
@@ -153,3 +154,6 @@ METHODS = {
     Method.LINEAR_1D: (transcribe_linear_1d, _risk.risk_exact_1d),
     Method.NAKKA_CHUNG: (transcribe_nakka_chung, _risk.risk_nakka_chung),
 }
+# The methods that apply in any dimension, loosest first; the others are
+# scalar-only.
+MULTIDIMENSIONAL = (Method.SPECTRAL_RADIUS, Method.FIRST_ORDER, Method.DTH_ORDER)

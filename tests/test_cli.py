@@ -13,7 +13,7 @@ import ccrisk.cli
 from ccrisk.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, SWEEP_CSV_COLUMNS, _dump_json, _parse_dims, main, sweep_csv
 from ccrisk.experiments import _box_stats, run_check, run_sweep, run_table1, run_table2
 from ccrisk.gaussian import GaussianVec
-from ccrisk.transcription import METHODS
+from ccrisk.transcription import METHODS, MULTIDIMENSIONAL
 
 SMALL_SWEEP = dict(dims=(1, 2), n_dists=3, beta=1e-3, mc_samples=2000, seed=7)
 
@@ -153,6 +153,13 @@ class TestCheck:
         monkeypatch.setitem(METHODS, first, (pytest.fail, pytest.fail))
         with pytest.raises(ValueError, match="unknown method"):
             run_check({"mean": [-1.0], "cov": [[1.0]], "beta": 0.1, "methods": [first.value, "bogus"]})
+
+    def test_scalar_only_method_rejected_before_any_method_runs(self, monkeypatch):
+        first = MULTIDIMENSIONAL[-1]
+        monkeypatch.setitem(METHODS, first, (pytest.fail, pytest.fail))
+        payload = {"mean": [-1, -2], "cov": [[1, 0], [0, 1]], "beta": 0.1, "methods": [first.value, "linear_1d"]}
+        with pytest.raises(ValueError, match="^method 'linear_1d' only applies to scalar constraints$"):
+            run_check(payload)
 
     def test_non_finite_input_usage_exit(self, tmp_path, capsys):
         # json.loads accepts the NaN literal; GaussianVec rejects it on entry
@@ -319,6 +326,11 @@ class TestBoxStats:
         # toward the inf beside it with weight 0 must not turn it into nan
         assert self.stats([0.0, 0.0, 1.0, 2.0, math.inf]) == [1.0, 0.0, 2.0, 0.0, 2.0]
 
+    def test_undefined_left_out(self):
+        # a reference of 1 leaves gamma undefined (None), which no statistic counts
+        assert self.stats([None, 1.0, 2.0, None, math.inf]) == self.stats([1.0, 2.0, math.inf])
+        assert self.stats([None, None]) == [None] * 5
+
 
 class TestMainEntry:
     def test_sweep_csv_roundtrip(self, tmp_path):
@@ -336,6 +348,27 @@ class TestMainEntry:
         assert main(["--out", str(a)] + args) == EXIT_OK
         assert main(["--out", str(b)] + args) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("n_dists", [3, 5])
+    def test_sweep_with_undefined_gamma(self, n_dists, capsys):
+        # at beta = 0.9 and d = 25 the first three references read 1, the
+        # next two just below it; no cell is NaN, and a cell with no defined
+        # gamma is empty in CSV and null in JSON
+        args = ["--mc-samples", "5000", "sweep", "--dims", "25", "--n-dists", str(n_dists), "--beta", "0.9"]
+        assert main(args) == EXIT_OK
+        records = parse_csv(capsys.readouterr().out)
+        assert main(["--format", "json"] + args) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+        stats = ["median", "q1", "q3", "whisker_lo", "whisker_hi"]
+        expected = [None] * 5 if n_dists == 3 else ["inf"] * 5
+        assert [[row[k] for k in stats] for row in rows] == [expected] * 3
+        assert [[rec[k] for k in stats] for rec in records] == [["" if e is None else e for e in expected]] * 3
+
+    def test_json_has_no_nan(self):
+        # inf is written as "inf"; NaN has no JSON form and raises
+        assert json.loads(_dump_json({"x": [1.0, math.inf]})) == {"x": [1.0, "inf"]}
+        with pytest.raises(ValueError):
+            _dump_json({"x": [1.0, math.nan]})
 
     def test_table1_json(self, tmp_path, capsys):
         out = tmp_path / "t1.json"

@@ -170,13 +170,22 @@ class TestOnePathToTheReference:
         assert references(record) == [ref.estimate for batch in drawn for ref in batch]
 
     def test_sweep(self, drawn, monkeypatch):
-        # whole dimensions per batch, up to _SWEEP_BATCH instances
+        # _SWEEP_BATCH instances per batch, cut within and across dimensions
         run_sweep((1, 2), 3, 1e-3, 2000, 7)
         assert [len(batch) for batch in drawn] == [6]
         drawn.clear()
         monkeypatch.setattr(importlib.import_module("ccrisk.experiments"), "_SWEEP_BATCH", 4)
         run_sweep((1, 2, 3), 3, 1e-3, 2000, 7)
-        assert [len(batch) for batch in drawn] == [3, 3, 3]
+        assert [len(batch) for batch in drawn] == [4, 4, 1]
+
+    def test_sweep_cut_within_a_dimension(self, drawn, monkeypatch):
+        # more distributions per dimension than a batch holds; each reference
+        # depends only on its own instance, so the cut leaves the rows as they are
+        whole = run_sweep((1, 2), 5, 1e-3, 2000, 7)
+        drawn.clear()
+        monkeypatch.setattr(importlib.import_module("ccrisk.experiments"), "_SWEEP_BATCH", 4)
+        assert run_sweep((1, 2), 5, 1e-3, 2000, 7) == whole
+        assert [len(batch) for batch in drawn] == [4, 4, 2]
 
 
 def test_package_attribute_is_the_submodule():

@@ -51,3 +51,17 @@ class TestBoxConstraintDistribution:
             box_constraint_distribution(DEFAULT_FIXTURE, [1.0, 2.0], True)
         with pytest.raises(ValueError):
             box_constraint_distribution(DEFAULT_FIXTURE, [0.0, 1, 1, 1, 1, 1], True)
+
+
+class TestPublishedDataReadOnly:
+    @pytest.mark.parametrize("name", ["u0_mean", "sigma_u0", "sigma_xN"])
+    def test_write_raises(self, name):
+        # neither the attribute nor an entry of its array can be replaced
+        with pytest.raises(AttributeError):
+            setattr(DEFAULT_FIXTURE, name, getattr(DEFAULT_FIXTURE, name).copy())
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(DEFAULT_FIXTURE, name)[0] = 0.3
+
+    def test_target_state_write_raises(self):
+        with pytest.raises(ValueError, match="read-only"):
+            DEFAULT_TARGET_STATE[0] = 0.3
