@@ -14,7 +14,10 @@ relative half-width of at most ``ref_tol`` (1% by default), looking after
 draw's value lies between mu / d and mu, mu the sum of the marginal tail
 masses, so the count needed does not grow like 1/risk: at d = 1 (table1)
 every draw gives the exact risk, and the quick sweep's references at risk
-1e-3 stop after about 2,500 draws on average.
+1e-3 stop after about 2,500 draws on average. The sweep gives every
+reference of one dimension the same seed, so they read the same draws:
+each reference's interval holds on its own, but their errors are
+correlated across the dimension's instances.
 """
 
 from __future__ import annotations
@@ -116,12 +119,19 @@ _SWEEP_BATCH = 1000
 
 
 def run_sweep(dims, n_dists: int, beta: float, mc_samples: int, seed: int, ref_tol: float = REF_TOL) -> list[dict]:
-    """Conservatism sweep over dimensions; one record per (dim, method)."""
+    """Conservatism sweep over dimensions; one record per (dim, method).
+
+    Each dimension has its own stream of instances and one reference seed,
+    ``_sub_seed(seed, d)``, shared by all of its references (common random
+    numbers): ``risk.aloe_risks`` draws each of their blocks once for all of
+    them. Each reference's 95% interval holds on its own, but their errors
+    are correlated across the dimension's instances."""
     gammas, n_rejected = {d: [] for d in dims}, dict.fromkeys(dims, 0)
     # (dimension, distribution, rejections, reference seed) of each instance
-    # in order, drawn as the batches need them; each dimension has its own stream
+    # in order, drawn as the batches need them
     rngs = {d: np.random.default_rng(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(d,)))) for d in dims}
-    instances = ((d, *_generate_instance(d, beta, rngs[d]), _sub_seed(seed, d, i)) for d in dims for i in range(n_dists))
+    ref_seeds = {d: _sub_seed(seed, d) for d in dims}
+    instances = ((d, *_generate_instance(d, beta, rngs[d]), ref_seeds[d]) for d in dims for _ in range(n_dists))
     while batch := list(itertools.islice(instances, _SWEEP_BATCH)):
         ds, gs, rejected, seeds = zip(*batch)
         for d, rej, report in zip(ds, rejected, hierarchy_reports(gs, mc_samples, seeds, ref_tol)):

@@ -7,6 +7,7 @@ reference used to measure conservatism.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 import os
@@ -42,6 +43,9 @@ _DELTA = 0.05
 # draws per block of the reference: the unit of its random streams and of
 # its parallel work. A block holds about 10 MB at d = 25.
 _BLOCK = 16_384
+# bytes of draws that references sharing a seed hold at once: nine full
+# blocks at d = 25
+_SHARED_BYTES = 32 << 20
 # draws before the reference first looks at its interval; it looks again at
 # each doubling
 _FIRST_LOOK = 1024
@@ -243,7 +247,7 @@ def aloe_risks(gs, n: int, seeds, tol: float = REF_TOL) -> list[McEstimate]:
     """Importance-sampling estimates of the real failure risk
     1 - P(y <= 0), one per distribution in ``gs``, each drawing until its
     95% interval has a relative half-width of at most ``tol`` or it has
-    drawn ``n`` samples, with its own seed.
+    drawn ``n`` samples, from the draws of its seed.
 
     Failure is the union of the half-spaces H_i = {a_i . z > r_i} of a
     standard normal z, where a_i is the i-th row of the covariance factor
@@ -265,10 +269,12 @@ def aloe_risks(gs, n: int, seeds, tol: float = REF_TOL) -> list[McEstimate]:
     after ``_FIRST_LOOK`` * 2^k merged draws and at ``n``, and stops at the
     first look whose interval is narrow enough; the blocks up to the next
     look run on the thread pool across the whole batch. ``_interval``
-    documents the interval. So each result depends only on its
-    (distribution, n, tol, seed): not on the other distributions in the
-    batch, and not on how many threads run the blocks. Every input is
-    checked before anything is drawn.
+    documents the interval. References of one dimension that share a seed
+    read the same draws, which ``_round`` draws once for all of them: each
+    one's interval holds on its own, but their errors are correlated. Each
+    result depends only on its (distribution, n, tol, seed): not on the
+    other distributions in the batch, and not on how many threads run the
+    blocks. Every input is checked before anything is drawn.
     """
     gs = list(gs)
     seeds = [int(s) for s in seeds]
@@ -295,8 +301,7 @@ def aloe_risks(gs, n: int, seeds, tol: float = REF_TOL) -> list[McEstimate]:
     for prev, look in zip([0, *looks], looks):
         sizes = [min(_BLOCK, look - start) for start in range(prev, look, _BLOCK)]
         active = [i for i, r in enumerate(results) if r is None]
-        tasks = [(events[i], seeds[i], block + b, m) for i in active for b, m in enumerate(sizes)]
-        hists = _map(_aloe_block, tasks)
+        hists = _round([(events[i], seeds[i], block + b, m) for i in active for b, m in enumerate(sizes)])
         block += len(sizes)
         for k, i in enumerate(active):
             counts[i] += sum(hists[k * len(sizes) : (k + 1) * len(sizes)])
@@ -360,6 +365,59 @@ def _map(fn, tasks: list) -> list:
     return list(_POOL.map(fn, tasks))
 
 
+def _round(tasks: list) -> list:
+    """Histograms of one round's blocks, each task (events, seed, b, m).
+
+    A block's draws depend only on its key (seed, b, m, d). A key that
+    several blocks read is drawn once, on the pool, into read-only arrays
+    that each of its blocks reads. A key with one reader is drawn inside
+    its block, into the thread's reused buffers, so a round without shared
+    keys allocates no draws. The shared keys go in passes of at most
+    ``_SHARED_BYTES`` of draws, each pass's arrays freed before the next is
+    drawn: a round near a large cap spans hundreds of blocks. The first
+    pass also runs every block that draws its own."""
+    keys = [(seed, b, m, e[0].shape[1]) for e, seed, b, m in tasks]
+    readers = collections.Counter(keys)
+    passes, held = [set()], 0
+    for key in [key for key, count in readers.items() if count > 1]:
+        # d normals and two uniforms per draw
+        size = 8 * (key[3] + 2) * key[2]
+        if passes[-1] and held + size > _SHARED_BYTES:
+            passes.append(set())
+            held = 0
+        passes[-1].add(key)
+        held += size
+    hists = [None] * len(tasks)
+    for n, shared in enumerate(passes):
+        at = [t for t, key in enumerate(keys) if key in shared or (n == 0 and readers[key] == 1)]
+        for t, h in zip(at, _pass([tasks[t] for t in at], [keys[t] for t in at], shared)):
+            hists[t] = h
+    return hists
+
+
+def _pass(tasks: list, keys: list, shared: set) -> list:
+    """Histograms of ``tasks``; the blocks whose key is in ``shared`` read
+    its draws, drawn here and freed on return."""
+    drawn = dict(zip(shared, _map(_draw, list(shared))))
+    return _map(_aloe_block, [(*t, drawn[key]) if key in drawn else t for t, key in zip(tasks, keys)])
+
+
+def _rng(seed: int, b: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+def _draw(key) -> tuple[np.ndarray, np.ndarray]:
+    """The normals z (d x m, one draw per column) and the uniforms
+    (pick, u) (2 x m) of the block with draw key (seed, b, m, d), in the
+    order ``_aloe_block`` draws them itself, read-only."""
+    seed, b, m, d = key
+    rng = _rng(seed, b)
+    out = rng.standard_normal((d, m)), rng.random((2, m))
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
 # each thread's block buffers: a fresh multi-megabyte array per block would
 # go back to the OS on every free and fault its pages in again, and the
 # threads' page faults serialize in the kernel
@@ -368,8 +426,10 @@ _BUFFERS = threading.local()
 
 def _aloe_block(task) -> np.ndarray:
     """Histogram of S, the number of violated constraints, over one block's
-    ``m`` draws, held one draw per column."""
-    (a, c, r, p, share, _), seed, b, m = task
+    ``m`` draws, held one draw per column. A fifth item of ``task`` holds
+    the block's draws, ``_draw``'s arrays shared with other references;
+    without it the block draws them itself."""
+    (a, c, r, p, share, _), seed, b, m, *drawn = task
     k, d = a.shape
     if getattr(_BUFFERS, "size", 0) < m * (d + 2 * k):
         _BUFFERS.size = m * (d + 2 * k)
@@ -377,9 +437,15 @@ def _aloe_block(task) -> np.ndarray:
         _BUFFERS.hit = np.empty(_BUFFERS.size, dtype=bool)
     z, y, moved = (_BUFFERS.real[m * lo : m * hi].reshape(-1, m) for lo, hi in ((0, d), (d, d + k), (d + k, d + 2 * k)))
     hit = _BUFFERS.hit[: k * m].reshape(k, m)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
-    rng.standard_normal(out=z)
-    pick, u = rng.random((2, m))
+    if drawn:
+        # the numbers the branch below would draw, in its order, read by
+        # every reference with this block's seed and dimension; only read here
+        z, (pick, u) = drawn[0]
+    else:
+        # no other reference in the round reads them
+        rng = _rng(seed, b)
+        rng.standard_normal(out=z)
+        pick, u = rng.random((2, m))
     j = share.searchsorted(pick, "right")
     # 1 - u lies in (0, 1]: u p_j = 0 would put t at inf, and inf * 0 in
     # the move below at NaN; so would a product that underflows

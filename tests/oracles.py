@@ -133,7 +133,12 @@ def dth_order_full_matrix(radii) -> float:
     k = max(int(r.searchsorted(0.0, "right")), 1)
     with np.errstate(over="ignore"):  # r_j / r_i overflows above a subnormal r_i
         c = np.minimum(r / r[k:, None], 1.0)
-    cut = betainc((d - 1) / 2.0, 0.5, 1.0 - c * c).sum(axis=1)
+    # the sector fraction's argument 1 - c^2 as special.sector_fraction_array
+    # forms it: (1 - c)(1 + c), or, for small c, the complement from c^2
+    a, x = (d - 1) / 2.0, (1.0 - c) * (1.0 + c)
+    wide = c < min(0.1, d**-0.5)
+    fraction = betainc(np.where(wide, 0.5, a), np.where(wide, a, 0.5), np.where(wide, c * c, x))
+    cut = np.where(wide, 1.0 - fraction, fraction).sum(axis=1)
     width = p[k - 1 : -1] - p[k:]
     value = float(p[-1] + width @ np.minimum(1.0, 0.5 * cut))
     return min(value, float(p[0]))

@@ -187,6 +187,15 @@ class TestOnePathToTheReference:
         assert run_sweep((1, 2), 5, 1e-3, 2000, 7) == whole
         assert [len(batch) for batch in drawn] == [4, 4, 2]
 
+    def test_sweep_seeds_one_per_dimension(self, drawn, monkeypatch):
+        # a dimension's references share one seed, so they read the same
+        # draws, in every batch that holds them
+        monkeypatch.setattr(importlib.import_module("ccrisk.experiments"), "_SWEEP_BATCH", 4)
+        run_sweep((1, 2, 3), 3, 1e-3, 2000, 7)
+        seeds = [ref.seed for batch in drawn for ref in batch]
+        assert seeds == [seeds[0]] * 3 + [seeds[3]] * 3 + [seeds[6]] * 3
+        assert len({seeds[0], seeds[3], seeds[6]}) == 3
+
 
 def test_package_attribute_is_the_submodule():
     # the package re-exports no name of a submodule, so the function

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import sys
 import warnings
 
 import mpmath
@@ -522,6 +523,55 @@ class TestDirectionalParallel:
                 risk._POOL.shutdown()
         assert results[0] == results[1]
         assert len({json.loads(r)["n_samples"] for r in results[0]}) >= 3
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    @pytest.mark.parametrize("shared_bytes", [None, 1], ids=["one-pass", "pass-per-key"])
+    def test_shared_seeds_equal_single_calls(self, monkeypatch, workers, shared_bytes):
+        # references that share a seed read the same draws. Four d = 12
+        # members on seed 1 stop at the 16,384 look, at the 65,536 look and
+        # at the cap; one of those has 11 constraints, as its twelfth has
+        # p = 0. Two more on seed 2 share the first round only, and the
+        # d = 6 member on seed 1 has a key of its own.
+        cap = 70_000
+        one_dropped = GaussianVec(-np.array([3.9] * 11 + [40.0]), np.full((12, 12), 0.5) + 0.5 * np.eye(12))
+        gs = [
+            _equicorrelated(12, 3.9, 0.5),
+            _equicorrelated(12, 3.5, 0.9),
+            _equicorrelated(12, 6.0, 0.9),
+            one_dropped,
+            _independent(12, 3.6),
+            _independent(12, 4.5),
+            _independent(6, 3.6),
+        ]
+        seeds = [1, 1, 1, 1, 2, 2, 1]
+        single = [reference(g, cap, s) for g, s in zip(gs, seeds)]
+        assert sorted({r.n_samples for r in single}) == [1024, 16_384, 65_536, cap]
+        keys = []
+        draw = risk._draw
+
+        def recorded(key):
+            keys.append(key)
+            return draw(key)
+
+        monkeypatch.setattr(risk, "_draw", recorded)
+        if shared_bytes is not None:
+            monkeypatch.setattr(risk, "_SHARED_BYTES", shared_bytes)
+        monkeypatch.setattr(risk, "_WORKERS", workers)
+        monkeypatch.setattr(risk, "_POOL", None)
+        # the threads read the shared arrays while others switch in often
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert aloe_risks(gs, cap, seeds) == single
+        finally:
+            sys.setswitchinterval(interval)
+            if risk._POOL is not None:
+                risk._POOL.shutdown()
+        # each shared key drawn once: seed 2's first block, and seed 1's
+        # eight blocks at d = 12 up to the 65,536 look; the ninth, to the
+        # cap, has one reader left
+        assert len(keys) == len(set(keys)) == 1 + 8
+        assert {(seed, d) for seed, _, _, d in keys} == {(1, 12), (2, 12)}
 
 
 class TestChiTail:

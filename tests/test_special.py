@@ -216,8 +216,11 @@ class TestRegIncBeta:
 
     @given(st.floats(0, 1))
     def test_arcsine_closed_form(self, c):
-        x, value = inc_beta_at(c, 2)
-        assert value == pytest.approx((2 / math.pi) * math.asin(math.sqrt(x)), abs=1e-9)
+        # x is taken in 40 digits: below c of about 1e-7 a double x near 1
+        # moves the arcsine by more than the tolerance
+        value = sector_fraction(c, 2)
+        x = 1 - mpmath.mpf(c) ** 2
+        assert value == pytest.approx(float(2 / mpmath.pi * mpmath.asin(mpmath.sqrt(x))), abs=1e-9)
 
     # I_x(a, b) = 1 - I_{1-x}(b, a), at a = b = 1/2: complementary
     # half-angles; interior x only, as near the endpoints forming 1 - x
@@ -255,6 +258,22 @@ class TestSectorFraction:
     @given(st.lists(st.floats(0, 1), min_size=1, max_size=30), st.integers(2, 30))
     def test_array_form_bitwise_equal(self, cs, d):
         assert sector_fraction_array(np.array(cs), d).tolist() == [sector_fraction(c, d) for c in cs]
+
+    @staticmethod
+    def mp_sector_fraction(c: float, d: int) -> float:
+        """I_x((d-1)/2, 1/2) at x = 1 - c^2 formed from the exact c in 40 digits."""
+        x = 1 - mpmath.mpf(c) ** 2
+        return float(mpmath.betainc(mpmath.mpf(d - 1) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True))
+
+    @pytest.mark.parametrize("d", [2, 3, 6, 25])
+    def test_relative_accuracy_at_both_ends(self, d):
+        # narrow sectors, c -> 1, where 1 - c^2 in double cancels, and wide
+        # ones, c -> 0, where no double near 1 holds it; c = cos(pi / 2) in
+        # double is 6.1e-17
+        narrow = [1.0 - 10.0**-k for k in range(1, 13)]
+        wide = [10.0**-k for k in range(1, 17)] + [math.cos(math.pi / 2)]
+        for c in narrow + wide:
+            assert sector_fraction(c, d) == pytest.approx(self.mp_sector_fraction(c, d), rel=1e-13, abs=0), c
 
     def test_nonincreasing_in_c(self):
         values = [sector_fraction(c, 5) for c in (0.0, 0.25, 0.5, 0.75, 1.0)]
