@@ -86,7 +86,8 @@ _BOX_STATS = ("median", "q1", "q3", "whisker_lo", "whisker_hi")
 
 def _box_stats(values) -> dict:
     """Median, quartiles, and 1.5-IQR whiskers of a sample (inf-tolerant),
-    leaving out undefined (None) values; all None when none is left."""
+    leaving out undefined (None) values; all None when none is left. The
+    whiskers never end inside the box: whisker_lo <= q1 and q3 <= whisker_hi."""
     values = np.array([v for v in values if v is not None], dtype=float)
     if not values.size:
         return dict.fromkeys(_BOX_STATS)
@@ -107,8 +108,11 @@ def _box_stats(values) -> dict:
     lo_cut, hi_cut = q1 - 1.5 * iqr, q3 + 1.5 * iqr
     in_lo = values[values >= lo_cut] if math.isfinite(lo_cut) else values
     in_hi = values[values <= hi_cut]
-    whisker_lo = float(np.min(in_lo)) if in_lo.size else q1
-    whisker_hi = float(np.max(in_hi)) if in_hi.size else q3
+    # clamped to the quartiles, as Matplotlib's boxplot_stats does: a
+    # quartile interpolated between two samples can lie beyond every sample
+    # inside the fence
+    whisker_lo = min(float(np.min(in_lo)), q1) if in_lo.size else q1
+    whisker_hi = max(float(np.max(in_hi)), q3) if in_hi.size else q3
     return dict(zip(_BOX_STATS, (med, q1, q3, whisker_lo, whisker_hi)))
 
 

@@ -166,15 +166,14 @@ def risk_spectral(g: GaussianVec) -> RiskEstimate:
     # the spectral margin is at most min r (sqrt_lambda_max >= sigma.max()),
     # but psi is good to about 3e-15 and not monotone at that level: a few
     # ulps below min r it can read below psi(min r)
-    r = np.array([-float(g.mean.max()) / g.sqrt_lambda_max, g.radii.min()])
-    return RiskEstimate("spectral", max(special.psi_array(r, g.dim).tolist()))
+    return RiskEstimate("spectral", max(g.spectral_tail, float(g.tails[0])))
 
 
 def risk_first_order(g: GaussianVec) -> RiskEstimate:
     """First-order risk bound psi(min r, d) from the standardized margins."""
     if not g.mean_nonpositive:
         return RiskEstimate("first_order", None, defined=False)
-    return RiskEstimate("first_order", float(special.psi_array(g.radii.min(), g.dim)))
+    return RiskEstimate("first_order", float(g.tails[0]))
 
 
 def dth_order_value(radii) -> float:
@@ -193,18 +192,29 @@ def dth_order_value(radii) -> float:
     widths sum to 1 - psi(r_d), but adds only nonnegative terms, so it
     keeps its relative accuracy in the deep tail where 1 - (...) cancels.
 
-    One pass evaluates psi over the radii and the sector fractions at the
-    d(d - 1)/2 ratios r_j / r_i with j < i, each at most 1. Rows start at
-    the first nonzero radius and never at the first radius: the first shell
-    has nothing closer to cut it, and a zero radius has a zero-width shell.
+    ``_shell_sum`` evaluates it from the sorted radii and their psi.
     """
     r = np.array(radii, dtype=float, ndmin=1)
     r.sort()
-    d = r.shape[0]
     if not (r[0] >= 0.0 and r[-1] <= math.inf):
         raise ValueError("radii must be nonnegative and not NaN")
-    p = special.psi_array(r, d)
+    return _shell_sum(r, special.psi_array(r, r.shape[0]))
+
+
+def _shell_sum(r: np.ndarray, p: np.ndarray) -> float:
+    """``dth_order_value`` of the radii r, sorted ascending, nonnegative
+    and not NaN, from their tails p = psi(r, d), unvalidated.
+
+    One pass evaluates the sector fractions at the d(d - 1)/2 ratios
+    r_j / r_i with j < i, each at most 1. Rows start at the first nonzero
+    radius and never at the first radius: the first shell has nothing
+    closer to cut it, and a zero radius has a zero-width shell. Without a
+    row (d = 1, or every radius 0) the value is psi(r_1).
+    """
+    d = r.shape[0]
     k = max(int(r.searchsorted(0.0, "right")), 1)
+    if k == d:
+        return float(p[0])
     at, i, j = _closer_pairs(d, k)
     # every other entry is exactly 0: r_j / r_i >= 1 there, and
     # sector_fraction(1) is 0, so the row sums are those of the full matrix
@@ -226,7 +236,7 @@ def dth_order_value(radii) -> float:
 @functools.lru_cache
 def _closer_pairs(d: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only indices of the pairs j < i, i >= k: their flat positions
-    in ``dth_order_value``'s (d - k) x d sector-fraction matrix, whose row
+    in ``_shell_sum``'s (d - k) x d sector-fraction matrix, whose row
     i - k holds shell i, and their i and j."""
     rows, j = np.tril_indices(d - k, k - 1, d)
     pairs = (rows * d + j, rows + k, j)

@@ -95,7 +95,8 @@ def bound_nakka_chung(beta: float, var_y: float) -> float:
 
 
 def _verdict(method: Method, beta: float, margins: np.ndarray) -> TranscriptionVerdict:
-    return TranscriptionVerdict(method, beta, margins, bool((margins <= 0.0).all()))
+    # one reduction; a NaN margin fails the comparison either way
+    return TranscriptionVerdict(method, beta, margins, bool(margins.max() <= 0.0))
 
 
 def transcribe_spectral_radius(g: GaussianVec, beta: float) -> TranscriptionVerdict:
@@ -125,8 +126,7 @@ def transcribe_dth_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     constraint.
     """
     beta = _check_beta(beta)
-    estimate = _risk.risk_dth_order(g)
-    risk_value = estimate.value if estimate.defined else 1.0
+    risk_value = g.dth_order_risk if g.mean_nonpositive else 1.0
     return _verdict(Method.DTH_ORDER, beta, np.concatenate(([risk_value - beta], g.mean)))
 
 

@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ccrisk.cli
 from ccrisk.cli import EXIT_DOMAIN, EXIT_OK, EXIT_USAGE, SWEEP_CSV_COLUMNS, _dump_json, _parse_dims, main, sweep_csv
@@ -330,6 +332,28 @@ class TestBoxStats:
         # a reference of 1 leaves gamma undefined (None), which no statistic counts
         assert self.stats([None, 1.0, 2.0, None, math.inf]) == self.stats([1.0, 2.0, math.inf])
         assert self.stats([None, None]) == [None] * 5
+
+    def test_whisker_clamped_to_quartile(self):
+        # q3 = 666.8 is interpolated toward the outlier 2113.4, above every
+        # sample inside the fence; the whisker ends at q3, not at 184.6
+        median, q1, q3, lo, hi = self.stats([58.0, 125.3, 184.6, 2113.4])
+        assert (lo, hi) == (58.0, q3)
+        assert q3 == pytest.approx(666.8, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(st.none(), st.just(0.0), st.just(math.inf), st.floats(0.0, 1e6), st.floats(0.0, 1e300)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_whiskers_outside_the_box(self, values):
+        s = _box_stats(values)
+        if s["median"] is None:
+            assert all(v is None for v in values)
+            return
+        assert s["whisker_lo"] <= s["q1"] <= s["median"] <= s["q3"] <= s["whisker_hi"]
 
 
 class TestMainEntry:

@@ -81,6 +81,9 @@ class TestGaussianVec:
                 "pivot 1.110e-15 at index 1 below tolerance 1.000e-13",
             ),
             ([-1.0], [[0.0]], NotPositiveDefiniteError, "pivot at index 0 not positive, tolerance 0.000e+00"),
+            # an empty mean after every shape check: a 0 x 0 covariance passes them all
+            ([], np.zeros((0, 0)), ValueError, "mean is empty: a constraint output needs at least one component"),
+            ([], [[1.0]], ValueError, "mean has length 0 but cov is (1, 1)"),
         ],
     )
     def test_first_failing_check_names_the_fault(self, mean, cov, error, message):
@@ -118,6 +121,16 @@ class TestGaussianVec:
     def test_cached_values_are_computed_once(self, example_2d):
         for name in ("sigma", "radii", "sqrt_lambda_max", "dth_order_risk"):
             assert getattr(example_2d, name) is getattr(example_2d, name)
+
+    @pytest.mark.parametrize("name", ["sorted_radii", "tails"])
+    def test_shared_tails_read_only(self, example_2d, name):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(example_2d, name)[0] = 0.0
+
+    def test_dth_order_risk_needs_nonpositive_mean(self):
+        g = GaussianVec([0.5, -1.0], np.eye(2))
+        with pytest.raises(ValueError, match="mean <= 0"):
+            g.dth_order_risk
 
     @pytest.mark.parametrize(
         "mean, expected", [([-1.0, -2.0], True), ([0.0, -1.0], True), ([0.0, 0.0], True), ([-1.0, 1e-300], False)]

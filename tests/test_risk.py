@@ -317,6 +317,59 @@ class TestDthOrder:
         assert risk_dth_order(scaled).value == pytest.approx(risk_dth_order(g).value, rel=1e-9)
 
 
+@st.composite
+def tail_instances(draw):
+    """Gaussians at d = 1 to 25, dense or diagonal, with standardized
+    margins in [0, 6]. Some components are set apart: a zero margin, an
+    infinite one (a mean of -1e250 against a spread of about 1e-100) and a
+    positive mean component."""
+    d = draw(st.integers(1, 25))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        a = rng.normal(size=(d, d))
+        cov = a @ a.T + 0.1 * np.eye(d)
+    else:
+        cov = np.diag(np.exp(rng.uniform(-4.0, 4.0, size=d)))
+    kinds = draw(st.lists(st.sampled_from(["zero", "inf", "positive"]), max_size=min(d, 3), unique=True))
+    if "inf" in kinds:
+        cov = cov * 1e-200
+    sigma = np.sqrt(cov.diagonal())
+    mean = -rng.uniform(0.0, 6.0, size=d) * sigma
+    for kind, i in zip(kinds, rng.permutation(d)):
+        mean[i] = {"zero": 0.0, "inf": -1e250, "positive": 0.5 * sigma[i]}[kind]
+    return GaussianVec(mean, cov)
+
+
+class TestSharedTails:
+    """Each estimator equals, bitwise, the chi-tail expression it stands
+    for, however a ``GaussianVec`` shares the work between them."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tail_instances())
+    def test_estimates_bitwise(self, g):
+        estimates = (risk_spectral(g), risk_first_order(g), risk_dth_order(g))
+        if (g.mean > 0.0).any():
+            assert [(e.defined, e.value) for e in estimates] == [(False, None)] * 3
+            return
+        b_rho, b_1, b_d = (e.value for e in estimates)
+        r_min = g.radii.min()
+        assert b_1 == float(special.psi_array(r_min, g.dim))
+        margins = np.array([-float(g.mean.max()) / g.sqrt_lambda_max, r_min])
+        assert b_rho == max(special.psi_array(margins, g.dim).tolist())
+        assert b_d == dth_order_value(g.radii)
+        assert b_d <= b_1 <= b_rho
+
+    @pytest.mark.parametrize("d", [1, 2, 25])
+    def test_zero_and_infinite_margins(self, d):
+        mean = np.full(d, -2.0)
+        mean[0] = 0.0 if d > 1 else -1e250
+        mean[-1] = -1e250
+        g = GaussianVec(mean, 1e-200 * np.eye(d))
+        assert g.radii[-1] == math.inf
+        assert risk_first_order(g).value == risk_spectral(g).value == (1.0 if d > 1 else 0.0)
+        assert risk_dth_order(g).value == dth_order_value(g.radii)
+
+
 class TestWilsonInterval:
     def test_brackets_proportion(self):
         lo, hi = wilson_interval(50, 100)
@@ -613,6 +666,12 @@ class TestMarginBeyondDoubleRange:
         assert risk_first_order(g).value == pytest.approx(tail, rel=1e-12)
         # the shell beyond r = 10 is cut in half by the near constraint
         assert risk_dth_order(g).value == pytest.approx(tail / 2, rel=1e-12)
+
+    def test_finite_margin_whose_square_overflows(self):
+        # r = 1e200 is finite, but psi squares it
+        g = GaussianVec([-1e200, -3.0], np.eye(2))
+        assert risk_first_order(g).value == risk_spectral(g).value == psi(3.0, 2)
+        assert risk_dth_order(g).value == pytest.approx(psi(3.0, 2) / 2, rel=1e-12)
 
     def test_scalar_is_zero(self):
         g = scalar(-1e200, 1e-300)

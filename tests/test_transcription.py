@@ -305,13 +305,16 @@ class TestMethodTable:
 
 class TestSharedWork:
     """The three transcriptions and the three risk estimators on one
-    GaussianVec share its factor, its eigenvalues and its d-th-order risk."""
+    GaussianVec share its factor, its eigenvalues, one chi-tail evaluation
+    and its d-th-order shell sum."""
 
     @pytest.mark.parametrize("d", [6, 25])
     def test_each_shared_quantity_computed_once(self, d, monkeypatch):
+        import scipy.special
+
         import ccrisk.risk
 
-        calls = {"cholesky": 0, "eigvalsh": 0, "dth_order_value": 0}
+        calls = {"cholesky": 0, "eigvalsh": 0, "gammaincc": 0, "shell_sum": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -322,9 +325,10 @@ class TestSharedWork:
 
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-        monkeypatch.setattr(
-            ccrisk.risk, "dth_order_value", counted("dth_order_value", ccrisk.risk.dth_order_value)
-        )
+        # the chi tail psi; psi_inv's inverse is a different function
+        monkeypatch.setattr(scipy.special, "gammaincc", counted("gammaincc", scipy.special.gammaincc))
+        # the d-th-order pass: dth_order_value's core, which GaussianVec runs
+        monkeypatch.setattr(ccrisk.risk, "_shell_sum", counted("shell_sum", ccrisk.risk._shell_sum))
         rng = np.random.default_rng(d)
         a = rng.normal(size=(d, d))
         cov = a @ a.T + 0.1 * np.eye(d)
@@ -336,4 +340,4 @@ class TestSharedWork:
             risk_spectral(g)
             risk_first_order(g)
             risk_dth_order(g)
-        assert calls == {"cholesky": 1, "eigvalsh": 1, "dth_order_value": 1}
+        assert calls == {"cholesky": 1, "eigvalsh": 1, "gammaincc": 1, "shell_sum": 1}
