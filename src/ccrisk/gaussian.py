@@ -20,73 +20,27 @@ __all__ = [
 ]
 
 
-class _Derived:
-    """An attribute of ``GaussianVec`` computed on first access, together
-    with every other attribute its ``derive`` stores. It stores them in the
-    instance's ``__dict__``, which a later access reads directly: this
-    descriptor defines no ``__set__``, so the instance's value wins."""
+class _cached_property:
+    """``functools.cached_property`` as of Python 3.12, without a lock: the
+    value is computed on first access and stored in the instance's
+    ``__dict__``, which later accesses read directly (this descriptor
+    defines no ``__set__``). Before 3.12 the standard one takes a lock per
+    attribute, shared by every instance, on each first access: about 2% of
+    the estimate chain's time on Python 3.11 (2-core Intel Xeon). Threads
+    that race on a first access each compute the same value."""
 
-    def __init__(self, derive, doc: str) -> None:
-        self.derive = derive
-        self.__doc__ = doc
+    def __init__(self, func) -> None:
+        self.func = func
+        self.__doc__ = func.__doc__
 
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
 
-    def __get__(self, g, owner=None):
-        if g is None:
+    def __get__(self, instance, owner=None):
+        if instance is None:
             return self
-        self.derive(g)
-        return g.__dict__[self.name]
-
-
-def _derive_tails(g: "GaussianVec") -> None:
-    """One pass over what the three multidimensional estimators share: sigma,
-    the radii, the sign of the mean, sqrt_lambda_max, and the chi tails of
-    the sorted radii and of the spectral margin, from one ``gammaincc``
-    evaluation."""
-    # imported here: importing SciPy ahead of the rest of the package makes
-    # the package's import about 20 ms slower (Python 3.11, SciPy 1.17)
-    from .special import psi_array
-
-    mean, cov = g.mean, g.cov
-    d = mean.shape[0]
-    sigma = np.sqrt(cov.diagonal())
-    mean_max = float(mean.max())
-    # a 1 x 1 covariance is its own eigenvalue, which eigvalsh returns exactly
-    lam_max = float(cov[0, 0]) if d == 1 else float(np.linalg.eigvalsh(cov)[-1])
-    sqrt_lambda_max = _sqrt_lambda_max(cov, lam_max)
-    with np.errstate(over="ignore"):
-        radii = -mean / sigma
-        # the spectral margin, then the radii in ascending order
-        r = np.empty(d + 1)
-        r[0] = -mean_max / sqrt_lambda_max
-        r[1:] = radii
-        r[1:].sort()
-        # the spectral margin is at most min r, as sqrt_lambda_max >=
-        # sigma.max() and division rounds monotonically; where it equals
-        # min r (always at d = 1) it shares that radius's tail
-        shared = int(r[0] == r[1])
-        tails = psi_array(r[shared:], d)
-    for x in (sigma, radii, r, tails):
-        x.flags.writeable = False
-    g.__dict__.update(
-        sigma=sigma,
-        radii=radii,
-        mean_nonpositive=mean_max <= 0.0,
-        sqrt_lambda_max=sqrt_lambda_max,
-        sorted_radii=r[1:],
-        tails=tails[1 - shared :],
-        spectral_tail=float(tails[0]),
-    )
-
-
-def _derive_dth_order(g: "GaussianVec") -> None:
-    from .risk import _shell_sum  # risk builds on this module
-
-    if not g.mean_nonpositive:
-        raise ValueError("the d-th-order risk needs mean <= 0 componentwise")
-    g.__dict__["dth_order_risk"] = _shell_sum(g.sorted_radii, g.tails)
+        value = instance.__dict__[self.name] = self.func(instance)
+        return value
 
 
 @dataclass(frozen=True)
@@ -96,12 +50,12 @@ class GaussianVec:
     Finiteness and positive definiteness are checked once at construction
     (fail fast, with the error pointing at the construction site); the
     Cholesky factor is kept for sampling. ``mean``, ``cov`` and ``chol`` are
-    read-only copies. What the estimators share is derived from them in one
-    pass, on first access of any of it, and kept: ``sigma``, ``radii``,
-    ``mean_nonpositive``, ``sqrt_lambda_max``, and the chi tails that the
-    first-order, spectral and d-th-order risks read (``sorted_radii``,
-    ``tails``, ``spectral_tail``). The d-th-order risk itself
-    (``dth_order_risk``) is computed from them on first use and kept too.
+    read-only copies, so the quantities the estimators share
+    (``mean_nonpositive``, ``sigma``, ``radii``, ``sqrt_lambda_max``) are
+    computed once, on first use, and cached, each by the estimators that
+    read it. ``risk`` keeps two more on the instance the same way: the chi
+    tails of the sorted radii, which the first-order, spectral and
+    d-th-order risks share, and the d-th-order risk (``dth_order_risk``).
     """
 
     mean: np.ndarray
@@ -127,36 +81,48 @@ class GaussianVec:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
-    mean_nonpositive = _Derived(
-        _derive_tails, "mean <= 0 in every component: the estimators' and reference's domain."
-    )
-    sigma = _Derived(_derive_tails, "Marginal standard deviations sqrt(diag(cov)) (read-only).")
-    radii = _Derived(
-        _derive_tails,
+    @_cached_property
+    def mean_nonpositive(self) -> bool:
+        """mean <= 0 in every component: the estimators' and reference's domain."""
+        return float(self.mean.max()) <= 0.0
+
+    @_cached_property
+    def sigma(self) -> np.ndarray:
+        """Marginal standard deviations sqrt(diag(cov)) (read-only)."""
+        s = np.sqrt(self.cov.diagonal())
+        s.flags.writeable = False
+        return s
+
+    @_cached_property
+    def radii(self) -> np.ndarray:
         """Signed standardized margins r_i = -mean_i / sigma_i (read-only).
 
         Positive entries mean the nominal constraint i is satisfied; negative
         entries mean it is violated. A margin beyond double range is +inf:
-        a constraint that is never violated.""",
-    )
-    sqrt_lambda_max = _Derived(
-        _derive_tails,
+        a constraint that is never violated.
+        """
+        with np.errstate(over="ignore"):
+            r = -self.mean / self.sigma
+        r.flags.writeable = False
+        return r
+
+    @_cached_property
+    def sqrt_lambda_max(self) -> float:
         """Square root of the largest covariance eigenvalue, which is
         positive: the covariance passed the Cholesky pivot test. It is
-        never below ``sigma.max()``, as in exact arithmetic.""",
-    )
-    sorted_radii = _Derived(_derive_tails, "``radii`` in ascending order (read-only).")
-    tails = _Derived(
-        _derive_tails,
-        """psi(sorted_radii, d), the chi tails of the sorted radii (read-only);
-        meaningful only when ``mean_nonpositive``.""",
-    )
-    spectral_tail = _Derived(
-        _derive_tails,
-        """psi(-max(mean) / sqrt_lambda_max, d), the chi tail of the spectral
-        margin; meaningful only when ``mean_nonpositive``.""",
-    )
-    dth_order_risk = _Derived(_derive_dth_order, "d-th-order risk value from the radii; needs mean <= 0.")
+        never below ``sigma.max()``, as in exact arithmetic."""
+        cov = self.cov
+        # a 1 x 1 matrix is its own eigenvalue, which eigvalsh returns exactly
+        lam_max = float(cov[0, 0]) if cov.shape[0] == 1 else float(np.linalg.eigvalsh(cov)[-1])
+        return _sqrt_lambda_max(cov, lam_max)
+
+    @property
+    def dth_order_risk(self) -> float:
+        """d-th-order risk value from the radii, computed once and kept;
+        needs mean <= 0."""
+        from .risk import _dth_order_risk  # risk builds on this module
+
+        return _dth_order_risk(self)
 
     @property
     def dim(self) -> int:

@@ -163,17 +163,33 @@ def risk_spectral(g: GaussianVec) -> RiskEstimate:
     the first-order bound psi(min r, d), as in exact arithmetic."""
     if not g.mean_nonpositive:
         return RiskEstimate("spectral", None, defined=False)
+    r_min, p_min = _min_radius_tail(g)
+    margin = -float(g.mean.max()) / g.sqrt_lambda_max
     # the spectral margin is at most min r (sqrt_lambda_max >= sigma.max()),
-    # but psi is good to about 3e-15 and not monotone at that level: a few
-    # ulps below min r it can read below psi(min r)
-    return RiskEstimate("spectral", max(g.spectral_tail, float(g.tails[0])))
+    # and equal to it at d = 1; but psi is good to about 3e-15 and not
+    # monotone at that level: a few ulps below min r it can read below
+    # psi(min r)
+    if margin == r_min:
+        return RiskEstimate("spectral", p_min)
+    return RiskEstimate("spectral", max(float(special.psi_array(margin, g.dim)), p_min))
 
 
 def risk_first_order(g: GaussianVec) -> RiskEstimate:
     """First-order risk bound psi(min r, d) from the standardized margins."""
     if not g.mean_nonpositive:
         return RiskEstimate("first_order", None, defined=False)
-    return RiskEstimate("first_order", float(g.tails[0]))
+    return RiskEstimate("first_order", _min_radius_tail(g)[1])
+
+
+def _min_radius_tail(g: GaussianVec) -> tuple[float, float]:
+    """min r and psi(min r, d) of g (mean <= 0): read from the sorted tails
+    once the d-th-order risk has made them, else evaluated alone, so that
+    neither risk pays for the tails of every radius by itself."""
+    tails = g.__dict__.get("_sorted_tails")
+    if tails is not None:
+        return float(tails[0][0]), float(tails[1][0])
+    r_min = float(g.radii.min())
+    return r_min, float(special.psi_array(r_min, g.dim))
 
 
 def dth_order_value(radii) -> float:
@@ -199,6 +215,25 @@ def dth_order_value(radii) -> float:
     if not (r[0] >= 0.0 and r[-1] <= math.inf):
         raise ValueError("radii must be nonnegative and not NaN")
     return _shell_sum(r, special.psi_array(r, r.shape[0]))
+
+
+def _dth_order_risk(g: GaussianVec) -> float:
+    """``dth_order_value`` of g's radii (mean <= 0), computed on first use
+    and kept on g, beside its cached properties. So are the radii sorted
+    and their chi tails psi(r, d), from one ``gammaincc`` evaluation, from
+    which the first-order and spectral risks then read psi(min r)."""
+    value = g.__dict__.get("_dth_order_risk")
+    if value is None:
+        if not g.mean_nonpositive:
+            raise ValueError("the d-th-order risk needs mean <= 0 componentwise")
+        r = np.sort(g.radii)
+        # a finite radius can square past double range; psi is 0 there
+        with np.errstate(over="ignore"):
+            p = special.psi_array(r, r.shape[0])
+        r.flags.writeable = p.flags.writeable = False
+        g.__dict__["_sorted_tails"] = r, p
+        value = g.__dict__["_dth_order_risk"] = _shell_sum(r, p)
+    return value
 
 
 def _shell_sum(r: np.ndarray, p: np.ndarray) -> float:
@@ -250,7 +285,7 @@ def risk_dth_order(g: GaussianVec) -> RiskEstimate:
     estimators (coincides with the others at d = 1)."""
     if not g.mean_nonpositive:
         return RiskEstimate("dth_order", None, defined=False)
-    return RiskEstimate("dth_order", g.dth_order_risk)
+    return RiskEstimate("dth_order", _dth_order_risk(g))
 
 
 def aloe_risks(gs, n: int, seeds, tol: float = REF_TOL) -> list[McEstimate]:

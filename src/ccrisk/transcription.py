@@ -126,7 +126,7 @@ def transcribe_dth_order(g: GaussianVec, beta: float) -> TranscriptionVerdict:
     constraint.
     """
     beta = _check_beta(beta)
-    risk_value = g.dth_order_risk if g.mean_nonpositive else 1.0
+    risk_value = _risk._dth_order_risk(g) if g.mean_nonpositive else 1.0
     return _verdict(Method.DTH_ORDER, beta, np.concatenate(([risk_value - beta], g.mean)))
 
 

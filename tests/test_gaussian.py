@@ -122,11 +122,6 @@ class TestGaussianVec:
         for name in ("sigma", "radii", "sqrt_lambda_max", "dth_order_risk"):
             assert getattr(example_2d, name) is getattr(example_2d, name)
 
-    @pytest.mark.parametrize("name", ["sorted_radii", "tails"])
-    def test_shared_tails_read_only(self, example_2d, name):
-        with pytest.raises(ValueError, match="read-only"):
-            getattr(example_2d, name)[0] = 0.0
-
     def test_dth_order_risk_needs_nonpositive_mean(self):
         g = GaussianVec([0.5, -1.0], np.eye(2))
         with pytest.raises(ValueError, match="mean <= 0"):

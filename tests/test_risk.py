@@ -344,20 +344,33 @@ class TestSharedTails:
     """Each estimator equals, bitwise, the chi-tail expression it stands
     for, however a ``GaussianVec`` shares the work between them."""
 
+    # after the d-th-order risk, the first-order and spectral risks read
+    # psi(min r) from its tails; before it, they evaluate psi(min r) alone
+    @pytest.mark.parametrize("dth_first", [False, True])
     @settings(max_examples=300, deadline=None)
-    @given(tail_instances())
-    def test_estimates_bitwise(self, g):
-        estimates = (risk_spectral(g), risk_first_order(g), risk_dth_order(g))
+    @given(g=tail_instances())
+    def test_estimates_bitwise(self, dth_first, g):
+        order = [risk_spectral, risk_first_order, risk_dth_order]
+        if dth_first:
+            order.reverse()
+        estimates = {e.method: e for e in (estimate(g) for estimate in order)}
         if (g.mean > 0.0).any():
-            assert [(e.defined, e.value) for e in estimates] == [(False, None)] * 3
+            assert [(e.defined, e.value) for e in estimates.values()] == [(False, None)] * 3
             return
-        b_rho, b_1, b_d = (e.value for e in estimates)
+        b_rho, b_1, b_d = (estimates[m].value for m in ("spectral", "first_order", "dth_order"))
         r_min = g.radii.min()
         assert b_1 == float(special.psi_array(r_min, g.dim))
         margins = np.array([-float(g.mean.max()) / g.sqrt_lambda_max, r_min])
         assert b_rho == max(special.psi_array(margins, g.dim).tolist())
         assert b_d == dth_order_value(g.radii)
         assert b_d <= b_1 <= b_rho
+
+    def test_kept_tails_read_only(self):
+        g = GaussianVec([-1.0, -2.0], [[1.0, 0.3], [0.3, 2.0]])
+        risk_dth_order(g)
+        for a in g.__dict__["_sorted_tails"]:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
     @pytest.mark.parametrize("d", [1, 2, 25])
     def test_zero_and_infinite_margins(self, d):
@@ -668,10 +681,12 @@ class TestMarginBeyondDoubleRange:
         assert risk_dth_order(g).value == pytest.approx(tail / 2, rel=1e-12)
 
     def test_finite_margin_whose_square_overflows(self):
-        # r = 1e200 is finite, but psi squares it
+        # r = 1e200 is finite, but psi squares it: silently, to psi = 0
         g = GaussianVec([-1e200, -3.0], np.eye(2))
-        assert risk_first_order(g).value == risk_spectral(g).value == psi(3.0, 2)
-        assert risk_dth_order(g).value == pytest.approx(psi(3.0, 2) / 2, rel=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert risk_dth_order(g).value == pytest.approx(psi(3.0, 2) / 2, rel=1e-12)
+            assert risk_first_order(g).value == risk_spectral(g).value == psi(3.0, 2)
 
     def test_scalar_is_zero(self):
         g = scalar(-1e200, 1e-300)

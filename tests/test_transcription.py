@@ -305,11 +305,12 @@ class TestMethodTable:
 
 class TestSharedWork:
     """The three transcriptions and the three risk estimators on one
-    GaussianVec share its factor, its eigenvalues, one chi-tail evaluation
-    and its d-th-order shell sum."""
+    GaussianVec share its factor, its eigenvalues, the chi tails of its
+    radii and its d-th-order shell sum, and one method alone runs only its
+    own share."""
 
-    @pytest.mark.parametrize("d", [6, 25])
-    def test_each_shared_quantity_computed_once(self, d, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
         import scipy.special
 
         import ccrisk.risk
@@ -327,12 +328,21 @@ class TestSharedWork:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
         # the chi tail psi; psi_inv's inverse is a different function
         monkeypatch.setattr(scipy.special, "gammaincc", counted("gammaincc", scipy.special.gammaincc))
-        # the d-th-order pass: dth_order_value's core, which GaussianVec runs
+        # the d-th-order pass: dth_order_value's core, which the chain runs once per GaussianVec
         monkeypatch.setattr(ccrisk.risk, "_shell_sum", counted("shell_sum", ccrisk.risk._shell_sum))
+        return calls
+
+    @staticmethod
+    def dense(d):
         rng = np.random.default_rng(d)
         a = rng.normal(size=(d, d))
         cov = a @ a.T + 0.1 * np.eye(d)
-        g = GaussianVec(-rng.uniform(1.0, 4.0, size=d) * np.sqrt(np.diag(cov)), cov)
+        return GaussianVec(-rng.uniform(1.0, 4.0, size=d) * np.sqrt(np.diag(cov)), cov)
+
+    @pytest.mark.parametrize("d", [6, 25])
+    def test_each_shared_quantity_computed_once(self, d, calls):
+        g = self.dense(d)
+        rounds = []
         for _ in range(2):
             transcribe_spectral_radius(g, 1e-3)
             transcribe_first_order(g, 1e-3)
@@ -340,4 +350,28 @@ class TestSharedWork:
             risk_spectral(g)
             risk_first_order(g)
             risk_dth_order(g)
-        assert calls == {"cholesky": 1, "eigvalsh": 1, "gammaincc": 1, "shell_sum": 1}
+            rounds.append(dict(calls))
+        # chi tails: those of the radii once, that of the spectral margin once
+        # per risk_spectral call
+        assert rounds == [
+            {"cholesky": 1, "eigvalsh": 1, "gammaincc": 2, "shell_sum": 1},
+            {"cholesky": 1, "eigvalsh": 1, "gammaincc": 3, "shell_sum": 1},
+        ]
+
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            # psi of min r, then of the spectral margin
+            (Method.SPECTRAL_RADIUS, {"eigvalsh": 1, "gammaincc": 2, "shell_sum": 0}),
+            # psi of min r alone
+            (Method.FIRST_ORDER, {"eigvalsh": 0, "gammaincc": 1, "shell_sum": 0}),
+            # psi of every radius, read again by the risk
+            (Method.DTH_ORDER, {"eigvalsh": 0, "gammaincc": 1, "shell_sum": 1}),
+        ],
+    )
+    def test_one_method_runs_only_its_share(self, method, expected, calls):
+        g = self.dense(6)
+        transcribe, risk = METHODS[method]
+        transcribe(g, 1e-3)
+        risk(g)
+        assert calls == {"cholesky": 1, **expected}
