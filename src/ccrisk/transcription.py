@@ -9,6 +9,7 @@ can use them as residuals.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,15 +61,20 @@ def _check_beta(beta: float) -> float:
     return beta
 
 
+def _check_variance(var_y: float) -> None:
+    if not 0.0 < var_y < math.inf:
+        raise ValueError(f"variance must be positive and finite, got {var_y!r}")
+
+
 def bound_norm_spectral(beta: float, n_u: int, rho: float) -> float:
     """Norm-constraint backoff [sqrt(2 ln(1/beta)) + sqrt(n_u)] * rho, the
     sqrt(n_u) shift applying only above control dimension 2: the inverse of
     ``risk.risk_norm_spectral`` in every control dimension."""
     beta = _check_beta(beta)
-    if n_u < 1:
-        raise ValueError("control dimension must be >= 1")
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
+    if not isinstance(n_u, numbers.Integral) or n_u < 1:
+        raise ValueError(f"control dimension must be an integer >= 1, got {n_u!r}")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError(f"rho must be nonnegative and finite, got {rho!r}")
     shift = math.sqrt(n_u) if n_u > 2 else 0.0
     # -log(beta), not log(1 / beta), which overflows below beta ~ 5.6e-309
     return (math.sqrt(-2.0 * math.log(beta)) + shift) * rho
@@ -79,8 +85,7 @@ def bound_linear_1d(beta: float, var_y: float) -> float:
     sufficient in one dimension), as -Phi^-1(beta): 1 - beta would round
     away beta's digits, and to 1 below about 1.1e-16."""
     beta = _check_beta(beta)
-    if var_y <= 0.0:
-        raise ValueError("variance must be positive")
+    _check_variance(var_y)
     return float(-ndtri(beta)) * math.sqrt(var_y)
 
 
@@ -88,8 +93,7 @@ def bound_nakka_chung(beta: float, var_y: float) -> float:
     """Distribution-free scalar backoff sqrt((1-beta)/beta) * sigma; more
     conservative than the exact Gaussian bound."""
     beta = _check_beta(beta)
-    if var_y <= 0.0:
-        raise ValueError("variance must be positive")
+    _check_variance(var_y)
     # sqrt(beta) apart: (1 - beta) / beta * var_y overflows below beta ~ 5.6e-309
     return math.sqrt((1.0 - beta) * var_y) / math.sqrt(beta)
 

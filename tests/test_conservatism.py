@@ -107,13 +107,13 @@ class TestHierarchyReports:
 
     def test_positive_mean_rejected_before_any_block(self, monkeypatch):
         calls = []
-        block = risk._aloe_block
+        key_block = risk._key_block
 
         def counted(task):
             calls.append(task)
-            return block(task)
+            return key_block(task)
 
-        monkeypatch.setattr(risk, "_aloe_block", counted)
+        monkeypatch.setattr(risk, "_key_block", counted)
         gs = self.mixed_batch()
         hierarchy_reports(gs[:1], 10, self.SEEDS[:1])
         assert len(calls) == 1

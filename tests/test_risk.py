@@ -4,7 +4,6 @@ import json
 import math
 import multiprocessing
 import os
-import sys
 import warnings
 
 import mpmath
@@ -136,6 +135,13 @@ class TestNormSpectral:
     def test_violated_nominal_rejected(self):
         with pytest.raises(ValueError):
             risk_norm_spectral([3.0], [[1.0]], 2.0)
+
+    @pytest.mark.parametrize(
+        "u_mean,u_cov", [([0.1, 0.2], np.eye(3)), ([0.1, 0.2, 0.3], np.eye(2))], ids=["cov-larger", "cov-smaller"]
+    )
+    def test_rejects_covariance_of_another_dimension(self, u_mean, u_cov):
+        with pytest.raises(ValueError, match="match u_mean"):
+            risk_norm_spectral(u_mean, u_cov, 0.5)
 
     @pytest.mark.parametrize(
         "u_mean,u_cov,u_max",
@@ -553,7 +559,7 @@ class TestDirectionalParallel:
         def no_draw(task):
             raise AssertionError("drew before checking every instance")
 
-        monkeypatch.setattr(risk, "_aloe_block", no_draw)
+        monkeypatch.setattr(risk, "_key_block", no_draw)
         with pytest.raises(ValueError, match="mean <= 0"):
             aloe_risks([example_2d, GaussianVec([-1.0, 0.5], np.eye(2))], 100, [0, 1])
         with pytest.raises(ValueError, match="one seed per"):
@@ -590,15 +596,12 @@ class TestDirectionalParallel:
         assert results[0] == results[1]
         assert len({json.loads(r)["n_samples"] for r in results[0]}) >= 3
 
-    @pytest.mark.parametrize("workers", [1, 2, 8])
-    @pytest.mark.parametrize("shared_bytes", [None, 1], ids=["one-pass", "pass-per-key"])
-    def test_shared_seeds_equal_single_calls(self, monkeypatch, workers, shared_bytes):
-        # references that share a seed read the same draws. Four d = 12
-        # members on seed 1 stop at the 16,384 look, at the 65,536 look and
-        # at the cap; one of those has 11 constraints, as its twelfth has
-        # p = 0. Two more on seed 2 share the first round only, and the
-        # d = 6 member on seed 1 has a key of its own.
-        cap = 70_000
+    @staticmethod
+    def _mixed_seeds():
+        # four d = 12 members on seed 1 stop at the 16,384 look, at the
+        # 65,536 look and at the cap; one of those has 11 constraints, as
+        # its twelfth has p = 0. Two more on seed 2 share the first round
+        # only, and the d = 6 member on seed 1 has keys of its own.
         one_dropped = GaussianVec(-np.array([3.9] * 11 + [40.0]), np.full((12, 12), 0.5) + 0.5 * np.eye(12))
         gs = [
             _equicorrelated(12, 3.9, 0.5),
@@ -609,35 +612,60 @@ class TestDirectionalParallel:
             _independent(12, 4.5),
             _independent(6, 3.6),
         ]
-        seeds = [1, 1, 1, 1, 2, 2, 1]
+        return gs, [1, 1, 1, 1, 2, 2, 1]
+
+    @staticmethod
+    def _one_seed():
+        # twelve d = 6 members on one seed: every round holds one or two
+        # keys, fewer than some worker counts, each read by every member
+        # still drawing
+        gs = [_equicorrelated(6, margin, rho) for rho in (0.0, 0.5, 0.9) for margin in (2.5, 3.2, 3.9, 4.6)]
+        return gs, [7] * len(gs)
+
+    @pytest.mark.parametrize(
+        "workers, one_seed",
+        [(1, False), (2, False), (8, False), (1, True), (2, True), (8, True)],
+        ids=["1", "2", "8", "one-seed-1", "one-seed-2", "one-seed-8"],
+    )
+    def test_shared_seeds_equal_single_calls(self, monkeypatch, workers, one_seed):
+        # references that share a seed read the same draws
+        cap = 70_000
+        gs, seeds = self._one_seed() if one_seed else self._mixed_seeds()
+        reads, tasks = [], []
+        key_block = risk._key_block
+
+        def recorded(task):
+            tasks.append(task[0])
+            reads.extend([task[0]] * len(task[1]))
+            return key_block(task)
+
+        monkeypatch.setattr(risk, "_key_block", recorded)
         single = [reference(g, cap, s) for g, s in zip(gs, seeds)]
-        assert sorted({r.n_samples for r in single}) == [1024, 16_384, 65_536, cap]
-        keys = []
-        draw = risk._draw
-
-        def recorded(key):
-            keys.append(key)
-            return draw(key)
-
-        monkeypatch.setattr(risk, "_draw", recorded)
-        if shared_bytes is not None:
-            monkeypatch.setattr(risk, "_SHARED_BYTES", shared_bytes)
+        read = sorted(reads)
+        if one_seed:
+            assert len({r.n_samples for r in single}) >= 4
+        else:
+            assert sorted({r.n_samples for r in single}) == [1024, 16_384, 65_536, cap]
+            # several read seed 2's first block, and seed 1's eight blocks
+            # at d = 12 up to the 65,536 look; the ninth, to the cap, has one
+            assert sum(read.count(key) > 1 for key in set(read)) == 1 + 8
+        reads.clear()
+        tasks.clear()
+        drawn = []
+        rng = risk._rng
+        monkeypatch.setattr(risk, "_rng", lambda seed, b: drawn.append((seed, b)) or rng(seed, b))
         monkeypatch.setattr(risk, "_WORKERS", workers)
         monkeypatch.setattr(risk, "_POOL", None)
-        # the threads read the shared arrays while others switch in often
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
         try:
             assert aloe_risks(gs, cap, seeds) == single
         finally:
-            sys.setswitchinterval(interval)
             if risk._POOL is not None:
                 risk._POOL.shutdown()
-        # each shared key drawn once: seed 2's first block, and seed 1's
-        # eight blocks at d = 12 up to the 65,536 look; the ninth, to the
-        # cap, has one reader left
-        assert len(keys) == len(set(keys)) == 1 + 8
-        assert {(seed, d) for seed, _, _, d in keys} == {(1, 12), (2, 12)}
+        # each member reads each of its keys once, as alone; each task
+        # draws its key once, and a key goes to at most one task per worker
+        assert sorted(reads) == read
+        assert sorted(drawn) == sorted((seed, b) for seed, b, _, _ in tasks)
+        assert max(tasks.count(key) for key in set(read)) <= workers
 
 
 class TestChiTail:
@@ -884,5 +912,5 @@ class TestAloeInterval:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with np.errstate(all="raise", under="ignore"):
-                counts = risk._aloe_block((risk._events(g), 0, 0, 64))
+                (counts,) = risk._key_block(((0, 0, 64, 2), [risk._events(g)]))
         assert counts.sum() == 64 and counts[0] == 0

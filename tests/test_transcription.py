@@ -123,6 +123,27 @@ class TestScalarBounds:
         with pytest.raises(ValueError):
             bound_norm_spectral(beta, 3, 1.0)
 
+    @pytest.mark.parametrize(
+        "bound,args",
+        [
+            (bound_linear_1d, (math.nan,)),
+            (bound_linear_1d, (math.inf,)),
+            (bound_nakka_chung, (math.nan,)),
+            (bound_nakka_chung, (math.inf,)),
+            (bound_norm_spectral, (3, math.nan)),
+            (bound_norm_spectral, (3, math.inf)),
+            (bound_norm_spectral, (2.5, 1.0)),
+            (bound_norm_spectral, (3.0, 1.0)),
+        ],
+        ids=["linear-nan", "linear-inf", "nakka-nan", "nakka-inf", "norm-rho-nan", "norm-rho-inf", "norm-n_u-2.5", "norm-n_u-3.0"],
+    )
+    def test_rejects_non_finite_and_fractional_inputs(self, bound, args):
+        with pytest.raises(ValueError):
+            bound(1e-3, *args)
+
+    def test_norm_accepts_numpy_integer_dimension(self):
+        assert bound_norm_spectral(1e-3, np.int64(3), 1.0) == bound_norm_spectral(1e-3, 3, 1.0)
+
 
 class TestSpectralRadiusTranscription:
     def test_zero_mean_never_satisfied(self):
